@@ -76,6 +76,7 @@ from .weights import (
     WeightRecord,
     counting_integrand,
     oracle_product_p,
+    weight,
     weight_v,
     weight_v_closed_x0,
     weight_v_special_xneg1,

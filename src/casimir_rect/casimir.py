@@ -37,6 +37,7 @@ import numpy as np
 from . import quad, sigma, strip
 from .quad import QuadratureSpec
 from .specialfn import dilog, eisenstein_E2, log_dedekind_eta
+from .thermo_constants import Z_CRITICAL
 
 __all__ = [
     "ScalingPoint",
@@ -56,10 +57,11 @@ __all__ = [
     "evaluate_sample",
 ]
 
-Z_CRITICAL = math.sqrt(2.0) - 1.0
 DEFAULT_ORDER = 8
 
 I_SPEC = QuadratureSpec(rel_tol=1e-12, abs_tol=5e-12)
+# I1 is the sum of two integrals, each held to half the absolute tolerance
+_I1_PART_SPEC = QuadratureSpec(rel_tol=I_SPEC.rel_tol, abs_tol=0.5 * I_SPEC.abs_tol)
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ def _log_sigma(x: float, rho: float, N: int) -> float:
     return math.log(sigma.sigma_series(x, rho, N).value)
 
 
-def integral_I1(x_vol: float, spec: QuadratureSpec = I_SPEC) -> float:
+def integral_I1(x_vol: float) -> float:
     """Dilogarithm integral over the strip potential.
 
     I1 = -(1/2pi) Int_{|x|}^inf dW (W^2-x^2)^{-1/2} Li2(-r(W) e^{-2W}) with
@@ -133,11 +135,9 @@ def integral_I1(x_vol: float, spec: QuadratureSpec = I_SPEC) -> float:
         z = -ratio * np.exp(-2.0 * omega)
         return dilog(z) / omega
 
-    half = QuadratureSpec(rel_tol=spec.rel_tol, abs_tol=0.5 * spec.abs_tol,
-                          max_depth=spec.max_depth)
-    tail = quad.integrate_finite(integrand, 1.0, abs(x) + 32.0, half)
+    tail = quad.integrate_finite(integrand, 1.0, abs(x) + 32.0, _I1_PART_SPEC)
     if x > 0.0:
-        head = quad.integrate_finite(integrand, 0.0, 1.0, half)
+        head = quad.integrate_finite(integrand, 0.0, 1.0, _I1_PART_SPEC)
     else:
         # map (0, 1] to [0, 52) via s = e^{-u}; the u^2 e^{-u} decay of the
         # squared-log endpoint makes this a plain smooth integral
@@ -145,15 +145,14 @@ def integral_I1(x_vol: float, spec: QuadratureSpec = I_SPEC) -> float:
             s = np.exp(-u)
             return integrand(s) * s
 
-        head = quad.integrate_finite(transformed, 0.0, 52.0, half)
+        head = quad.integrate_finite(transformed, 0.0, 52.0, _I1_PART_SPEC)
     return -(head + tail) / (2.0 * math.pi)
 
 
 _I2_SPLIT = 4.0
 
 
-def integral_I2(x_vol: float, N: int = DEFAULT_ORDER,
-                spec: QuadratureSpec = I_SPEC) -> float:
+def integral_I2(x_vol: float, N: int = DEFAULT_ORDER) -> float:
     """Integral of the unit-aspect strip force against the log kernel.
 
     I2 = psi(0,1) log(1+x^-2)
@@ -177,21 +176,21 @@ def integral_I2(x_vol: float, N: int = DEFAULT_ORDER,
     if x_vol < 0.0:
         total -= math.log(2.0)
 
-    def far(eta):
-        return 2.0 * _psi1(sgn * eta, N) / eta
+    def psi1(eta: np.ndarray) -> np.ndarray:
+        return np.array([_psi1(sgn * e, N) for e in eta])
+
+    def far(eta: np.ndarray) -> np.ndarray:
+        return 2.0 * psi1(eta) / eta
 
     if h >= _I2_SPLIT:
         return total - psi0 * math.log1p(1.0 / (h * h)) + quad.integrate_semi_infinite(
-            far, h, QuadratureSpec(rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
-                                   max_depth=spec.max_depth, decay_scale=1.0))
+            far, h, I_SPEC)
 
-    def near(eta):
-        return 2.0 * (_psi1(sgn * eta, N) - psi0 / (1.0 + eta * eta)) / eta
+    def near(eta: np.ndarray) -> np.ndarray:
+        return 2.0 * (psi1(eta) - psi0 / (1.0 + eta * eta)) / eta
 
-    total += quad.integrate_finite(near, h, _I2_SPLIT, spec)
-    total += quad.integrate_semi_infinite(
-        far, _I2_SPLIT, QuadratureSpec(rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
-                                       max_depth=spec.max_depth, decay_scale=1.0))
+    total += quad.integrate_finite(near, h, _I2_SPLIT, I_SPEC)
+    total += quad.integrate_semi_infinite(far, _I2_SPLIT, I_SPEC)
     total -= psi0 * math.log1p(1.0 / (_I2_SPLIT * _I2_SPLIT))
     return total
 

@@ -6,18 +6,15 @@ closed forms, the named constants, the force sign-change ratio, and the
 effective-spin cross-check.  Output is CSV or JSON with full round-trip
 precision and is byte-identical for identical configurations.
 
-Exit codes: 0 success, 1 invalid arguments, 2 numerical non-convergence.
-The environment variable CASIMIR_RECT_THREADS caps grid parallelism
-(default 1; results are ordered, so the output does not depend on it).
+Exit codes: 0 success, 1 invalid arguments (including NaN or infinite
+numbers), 2 numerical non-convergence or arithmetic failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__, casimir, effspin, roots, sigma, specialfn, strip
@@ -40,24 +37,6 @@ class RunConfig:
     params: dict = field(default_factory=dict)
     format: str = "csv"
     output: str | None = None
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("CASIMIR_RECT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def _grid_map(fn, items):
-    """Apply fn over items, optionally threaded, preserving order."""
-    n = _thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(v) for v in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit(table: FunctionTable, config: RunConfig) -> None:
@@ -95,12 +74,7 @@ def _cmd_weights(config: RunConfig) -> FunctionTable:
     p = config.params
     table = FunctionTable(["mu", "v", "method"])
     for mu in range(1, p["count"] + 1):
-        if p["x"] == 0.0:
-            rec = weights.weight_v_closed_x0(mu)
-        elif mu == 1 and p["x"] == -1.0:
-            rec = weights.weight_v_special_xneg1()
-        else:
-            rec = weights.weight_v(mu, p["x"])
+        rec = weights.weight(mu, p["x"])
         table.add_row(rec.mu, rec.v, rec.method)
     return table
 
@@ -121,13 +95,11 @@ def _cmd_theta_table(config: RunConfig) -> FunctionTable:
     xs = _x_grid(p)
     table = FunctionTable(["x", "rho", "theta_total", "note"])
     for rho in p["rho"]:
-        def eval_point(x, rho=rho):
+        for x in xs:
             if x == 0.0:
-                return (x, rho, None, "divergent")
-            return (x, rho, casimir.theta_total(x, rho, p["order"]), "")
-
-        for row in _grid_map(eval_point, xs):
-            table.add_row(*row)
+                table.add_row(x, rho, None, "divergent")
+            else:
+                table.add_row(x, rho, casimir.theta_total(x, rho, p["order"]), "")
     return table
 
 
@@ -136,11 +108,8 @@ def _cmd_vartheta_table(config: RunConfig) -> FunctionTable:
     xs = _x_grid(p)
     table = FunctionTable(["x", "rho", "vartheta"])
     for rho in p["rho"]:
-        def eval_point(x, rho=rho):
-            return (x, rho, casimir.vartheta_total(x, rho, p["order"]))
-
-        for row in _grid_map(eval_point, xs):
-            table.add_row(*row)
+        for x in xs:
+            table.add_row(x, rho, casimir.vartheta_total(x, rho, p["order"]))
     return table
 
 
@@ -206,12 +175,23 @@ def run(config: RunConfig) -> int:
         }[config.command]
         _emit(builder(config), config)
         return 0
-    except (QuadratureError, RootFindError, RuntimeError) as exc:
+    except (QuadratureError, RootFindError, RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for the float options: NaN and infinities are rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -226,19 +206,19 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", default=None, help="output path (default stdout)")
 
     sp = sub.add_parser("zeros", help="zero table at one x")
-    sp.add_argument("--x", type=float, required=True)
+    sp.add_argument("--x", type=_finite_float, required=True)
     sp.add_argument("--count", type=int, default=4)
-    sp.add_argument("--tol", type=float, default=1e-14)
+    sp.add_argument("--tol", type=_finite_float, default=1e-14)
     add_common(sp)
 
     sp = sub.add_parser("weights", help="weight table at one x")
-    sp.add_argument("--x", type=float, required=True)
+    sp.add_argument("--x", type=_finite_float, required=True)
     sp.add_argument("--count", type=int, default=8)
     add_common(sp)
 
     sp = sub.add_parser("sigma", help="partition-function scaling function")
-    sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--rho", type=float, required=True)
+    sp.add_argument("--x", type=_finite_float, required=True)
+    sp.add_argument("--rho", type=_finite_float, required=True)
     sp.add_argument("--order", type=int, default=8)
     sp.add_argument("--modes", type=int, default=16)
     add_common(sp)
@@ -246,16 +226,16 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in (("theta-table", "Casimir potential grid"),
                             ("vartheta-table", "Casimir force grid")):
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--x-min", dest="x_min", type=float, required=True)
-        sp.add_argument("--x-max", dest="x_max", type=float, required=True)
+        sp.add_argument("--x-min", dest="x_min", type=_finite_float, required=True)
+        sp.add_argument("--x-max", dest="x_max", type=_finite_float, required=True)
         sp.add_argument("--steps", type=int, required=True)
-        sp.add_argument("--rho", type=float, action="append", required=True,
+        sp.add_argument("--rho", type=_finite_float, action="append", required=True,
                         help="repeatable")
         sp.add_argument("--order", type=int, default=8)
         add_common(sp)
 
     sp = sub.add_parser("critical", help="critical-point closed forms")
-    sp.add_argument("--rho", type=float, action="append", required=True)
+    sp.add_argument("--rho", type=_finite_float, action="append", required=True)
     sp.add_argument("--order", type=int, default=8)
     add_common(sp)
 
@@ -265,8 +245,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("rho0", help="force sign-change aspect ratio")
 
     sp = sub.add_parser("effspin-check", help="effective-spin equivalence check")
-    sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--rho", type=float, required=True)
+    sp.add_argument("--x", type=_finite_float, required=True)
+    sp.add_argument("--rho", type=_finite_float, required=True)
     sp.add_argument("--n", type=int, default=8)
     add_common(sp)
 

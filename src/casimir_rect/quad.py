@@ -6,10 +6,10 @@ of exponentially decaying integrands via an explicit truncation point, and
 semi-infinite integrals whose inverse-square-root endpoint singularity has
 already been removed by a substitution in the caller.
 
-Integrands are preferably vectorized (called with an ndarray of nodes,
-returning an ndarray); plain scalar callables are detected on the first
-panel and wrapped.  Results are deterministic: identical inputs produce
-bit-identical outputs.
+Every integrand takes a 1-D ndarray of nodes and returns an ndarray of
+the same shape; a callable that only accepts scalars raises on its first
+panel.  Results are deterministic: identical inputs produce bit-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -81,17 +81,11 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and limits for the adaptive quadrature.
-
-    decay_scale is an optional hint for semi-infinite ranges: the integrand
-    is assumed to decay at least like exp(-t/decay_scale) sufficiently far
-    out, which fixes the truncation point.
-    """
+    """Tolerances and limits for the adaptive quadrature."""
 
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
     max_depth: int = 60
-    decay_scale: float | None = None
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
@@ -103,38 +97,13 @@ class QuadratureSpec:
 DEFAULT_SPEC = QuadratureSpec()
 
 
-def _vectorize(f):
-    """Wrap f so it accepts an ndarray, probing vectorization once.
-
-    Idempotent: an already-wrapped callable is returned unchanged, so the
-    entry points can freely hand wrapped integrands to each other.
-    """
-    if getattr(f, "_gk_vectorized", False):
-        return f
-    state = {"mode": None}
-
-    def call(x: np.ndarray) -> np.ndarray:
-        if state["mode"] == "scalar":
-            return np.array([float(f(v)) for v in x])
-        try:
-            y = np.asarray(f(x), dtype=float)
-            if y.shape != x.shape:
-                raise ValueError
-            state["mode"] = "vector"
-            return y
-        except (TypeError, ValueError, IndexError):
-            state["mode"] = "scalar"
-            return np.array([float(f(v)) for v in x])
-
-    call._gk_vectorized = True
-    return call
-
-
-def _panel(fv, a: float, b: float):
-    """Gauss-Kronrod estimates on [a, b] from one vectorized evaluation."""
+def _panel(f, a: float, b: float):
+    """Gauss-Kronrod estimates on [a, b] from one array evaluation of f."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    y = fv(mid + half * _XK)
+    y = np.asarray(f(mid + half * _XK), dtype=float)
+    if y.shape != _XK.shape:
+        raise ValueError(f"integrand returned shape {y.shape} for {_XK.shape} nodes")
     if not np.all(np.isfinite(y)):
         raise QuadratureError(f"non-finite integrand value in panel [{a}, {b}]")
     k15 = half * float(_WK @ y)
@@ -153,8 +122,7 @@ def integrate_finite(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC)
         raise ValueError("integration bounds must satisfy a <= b")
     if a == b:
         return 0.0
-    fv = _vectorize(f)
-    val, err = _panel(fv, a, b)
+    val, err = _panel(f, a, b)
     panels = [(a, b, 0, val, err)]
     while True:
         total = math.fsum(p[3] for p in panels)
@@ -175,32 +143,28 @@ def integrate_finite(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC)
                 f"error {perr:.3e}"
             )
         pm = 0.5 * (pa + pb)
-        left = _panel(fv, pa, pm)
-        right = _panel(fv, pm, pb)
+        left = _panel(f, pa, pm)
+        right = _panel(f, pm, pb)
         panels[worst] = (pa, pm, depth + 1, left[0], left[1])
         panels.insert(worst + 1, (pm, pb, depth + 1, right[0], right[1]))
 
 
-def _truncation_point(fv, a: float, shift: float, spec: QuadratureSpec) -> float:
-    """Truncation point T so that the exponential tail is below abs_tol/10."""
-    d = spec.decay_scale if spec.decay_scale is not None else 1.0
-    start = a + shift
-    probes = start + d * np.array([0.25, 1.0, 2.0])
-    mags = np.abs(fv(probes))
-    range_estimate = d * float(np.max(mags)) + spec.abs_tol
-    return start + d * max(10.0, math.log(10.0 * range_estimate / spec.abs_tol))
+def _truncation_point(f, start: float, spec: QuadratureSpec) -> float:
+    """Truncation point T so that an e^{-t} tail beyond it is below abs_tol/10."""
+    mags = np.abs(f(start + np.array([0.25, 1.0, 2.0])))
+    range_estimate = float(np.max(mags)) + spec.abs_tol
+    return start + max(10.0, math.log(10.0 * range_estimate / spec.abs_tol))
 
 
 def integrate_semi_infinite(f, a: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Integrate an exponentially decaying f over [a, infinity).
+    """Integrate f, decaying at least like e^{-t}, over [a, infinity).
 
-    The range is truncated at T = a + decay_scale*log(10*range/abs_tol),
-    with the range magnitude estimated from a few probe values, then handed
+    The range is truncated at T = a + max(10, log(10*range/abs_tol)), with
+    the range magnitude estimated from f at three probe points, then handed
     to integrate_finite.
     """
-    fv = _vectorize(f)
-    T = _truncation_point(fv, a, 0.0, spec)
-    return integrate_finite(fv, a, T, spec)
+    T = _truncation_point(f, a, spec)
+    return integrate_finite(f, a, T, spec)
 
 
 def integrate_sqrt_singularity(g, x_abs: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
@@ -213,6 +177,5 @@ def integrate_sqrt_singularity(g, x_abs: float, spec: QuadratureSpec = DEFAULT_S
     """
     if x_abs < 0:
         raise ValueError("x_abs must be >= 0")
-    gv = _vectorize(g)
-    T = _truncation_point(gv, 0.0, x_abs, spec)
-    return integrate_finite(gv, 0.0, T, spec)
+    T = _truncation_point(g, x_abs, spec)
+    return integrate_finite(g, 0.0, T, spec)

@@ -143,7 +143,7 @@ def _sigma_q_sum(q: float, weight: int = 0) -> float:
     """sum_n sigma(n) q^n / n^weight, truncated with a tail bound.
 
     The tail after N terms is bounded by sum_{n>N} n^2 q^n, which is
-    geometric-dominated; the bound is asserted below 1e-15 relative to the
+    geometric-dominated; the bound is checked to lie below 1e-15 relative to the
     leading term's scale at the truncation recorded in the context.
     """
     if q == 0.0:
@@ -159,7 +159,8 @@ def _sigma_q_sum(q: float, weight: int = 0) -> float:
     else:
         raise RuntimeError("q-series truncation cap reached")
     ctx = QSeriesContext(q=q, n_terms=n)
-    assert ctx.tail_bound() < 1e-15 * max(1.0, abs(total)), "q-series tail bound violated"
+    if not ctx.tail_bound() < 1e-15 * max(1.0, abs(total)):
+        raise RuntimeError("q-series tail bound violated")
     return total
 
 

@@ -50,7 +50,7 @@ def _decay_factor(w: np.ndarray, x: float) -> np.ndarray:
     return ratio * np.exp(-2.0 * g)
 
 
-def _strip_integral(x: float, integrand, spec: QuadratureSpec) -> float:
+def _strip_integral(x: float, integrand) -> float:
     scale = max(1.0, abs(x))
     w_max = abs(x) + 27.0
     u_max = math.asinh(w_max / scale)
@@ -59,28 +59,28 @@ def _strip_integral(x: float, integrand, spec: QuadratureSpec) -> float:
         w = scale * np.sinh(u)
         return integrand(w) * scale * np.cosh(u)
 
-    return quad.integrate_finite(transformed, 0.0, u_max, spec)
+    return quad.integrate_finite(transformed, 0.0, u_max, STRIP_SPEC)
 
 
-def theta_oo(x: float, spec: QuadratureSpec = STRIP_SPEC) -> float:
+def theta_oo(x: float) -> float:
     """Strip Casimir potential scaling function; theta_oo(0) = -pi/48."""
 
     def integrand(w: np.ndarray) -> np.ndarray:
         return np.log1p(_decay_factor(w, x))
 
-    return -_strip_integral(x, integrand, spec) / (2.0 * math.pi)
+    return -_strip_integral(x, integrand) / (2.0 * math.pi)
 
 
-def vartheta_oo(x: float, spec: QuadratureSpec = STRIP_SPEC) -> float:
+def vartheta_oo(x: float) -> float:
     """Strip Casimir force scaling function; vartheta_oo(0) = -pi/48."""
 
     def integrand(w: np.ndarray) -> np.ndarray:
         b = _decay_factor(w, x)
         return np.hypot(w, x) * b / (1.0 + b)
 
-    return -_strip_integral(x, integrand, spec) / math.pi
+    return -_strip_integral(x, integrand) / math.pi
 
 
-def strip_sample(x: float, spec: QuadratureSpec = STRIP_SPEC) -> StripSample:
+def strip_sample(x: float) -> StripSample:
     """Evaluate both strip functions at one point."""
-    return StripSample(x=x, theta_oo=theta_oo(x, spec), vartheta_oo=vartheta_oo(x, spec))
+    return StripSample(x=x, theta_oo=theta_oo(x), vartheta_oo=vartheta_oo(x))

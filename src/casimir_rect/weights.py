@@ -40,6 +40,7 @@ __all__ = [
     "weight_v",
     "weight_v_special_xneg1",
     "weight_v_closed_x0",
+    "weight",
     "weight_w_generating_check",
     "oracle_product_p",
     "weight_cached",
@@ -87,7 +88,7 @@ def _kernel_sub(s: np.ndarray, x: float) -> np.ndarray:
     return (x - s * s) * sech / (t * d)
 
 
-def _exponent_integral(x: float, log_factor, spec: QuadratureSpec) -> float:
+def _exponent_integral(x: float, log_factor) -> float:
     """Int_0^inf log_factor(s) * kernel(s) ds with x-dependent node placement.
 
     For x < -1 the kernel develops a spike of width ~ 2|x| e^{-|x|} at the
@@ -100,7 +101,7 @@ def _exponent_integral(x: float, log_factor, spec: QuadratureSpec) -> float:
         return log_factor(s) * _kernel_sub(s, x)
 
     if x >= -1.0:
-        return quad.integrate_sqrt_singularity(integrand, abs(x), spec)
+        return quad.integrate_sqrt_singularity(integrand, abs(x), WEIGHT_SPEC)
     c = roots.zero_cached(1, x).gamma
     s_max = -x + 45.0
     v_max = math.asinh(s_max / c)
@@ -109,7 +110,7 @@ def _exponent_integral(x: float, log_factor, spec: QuadratureSpec) -> float:
         s = c * np.sinh(v)
         return integrand(s) * c * np.cosh(v)
 
-    return quad.integrate_finite(transformed, 0.0, v_max, spec)
+    return quad.integrate_finite(transformed, 0.0, v_max, WEIGHT_SPEC)
 
 
 def _prefactor(zero: roots.ZeroRecord, x: float) -> float:
@@ -117,7 +118,7 @@ def _prefactor(zero: roots.ZeroRecord, x: float) -> float:
     return 4.0 * (zero.gamma - x) * g2 / (g2 + x)
 
 
-def weight_v(mu: int, x: float, spec: QuadratureSpec = WEIGHT_SPEC) -> WeightRecord:
+def weight_v(mu: int, x: float) -> WeightRecord:
     """Weight v_mu(x) by the contour-reduced integral route.
 
     Not defined at (mu, x) = (1, -1), where the first zero degenerates;
@@ -125,7 +126,7 @@ def weight_v(mu: int, x: float, spec: QuadratureSpec = WEIGHT_SPEC) -> WeightRec
     """
     if mu == 1 and x == -1.0:
         raise ValueError("degenerate point; use weight_v_special_xneg1")
-    zero = roots.zero_cached(mu, x) if spec is WEIGHT_SPEC else roots.find_zero(mu, x)
+    zero = roots.zero_cached(mu, x)
     if zero.phi_sq > 0.0:
         phi_sq = zero.phi_sq
 
@@ -143,12 +144,12 @@ def weight_v(mu: int, x: float, spec: QuadratureSpec = WEIGHT_SPEC) -> WeightRec
             return np.log((g_sq + s * s) / y_sq)
 
         sign = -1.0
-    expo = zero.sigma / math.pi * _exponent_integral(x, log_factor, spec)
+    expo = zero.sigma / math.pi * _exponent_integral(x, log_factor)
     v = sign * _prefactor(zero, x) * math.exp(expo)
     return WeightRecord(mu=mu, v=v, method="contour")
 
 
-def weight_v_special_xneg1(spec: QuadratureSpec = WEIGHT_SPEC) -> WeightRecord:
+def weight_v_special_xneg1() -> WeightRecord:
     """First weight at x = -1, where the integral diverges logarithmically.
 
     The degenerate zero at the origin leaves the finite combination
@@ -158,7 +159,7 @@ def weight_v_special_xneg1(spec: QuadratureSpec = WEIGHT_SPEC) -> WeightRecord:
     def log_factor(s: np.ndarray) -> np.ndarray:
         return np.log(1.0 + s * s)  # log(t^2) with t^2 = 1 + s^2
 
-    expo = _exponent_integral(-1.0, log_factor, spec) / math.pi
+    expo = _exponent_integral(-1.0, log_factor) / math.pi
     return WeightRecord(mu=1, v=12.0 * math.exp(expo), method="special_x_neg1")
 
 
@@ -173,18 +174,23 @@ def weight_v_closed_x0(mu: int) -> WeightRecord:
     return WeightRecord(mu=mu, v=v, method="closed_form_x0")
 
 
-@lru_cache(maxsize=None)
-def weight_cached(mu: int, x: float) -> float:
-    """Memoized weight used by the series/determinant/spin modules.
+def weight(mu: int, x: float) -> WeightRecord:
+    """Weight v_mu(x), dispatched over the three routes.
 
-    Dispatches the two exact points (x = 0 closed form, the x = -1 first
-    weight) and the contour route otherwise.
+    The closed form at x = 0, the special form for the first weight at
+    x = -1, and the contour integral everywhere else.
     """
     if x == 0.0:
-        return weight_v_closed_x0(mu).v
+        return weight_v_closed_x0(mu)
     if mu == 1 and x == -1.0:
-        return weight_v_special_xneg1().v
-    return weight_v(mu, x).v
+        return weight_v_special_xneg1()
+    return weight_v(mu, x)
+
+
+@lru_cache(maxsize=None)
+def weight_cached(mu: int, x: float) -> float:
+    """Memoized weight value used by the series/determinant/spin modules."""
+    return weight(mu, x).v
 
 
 def weight_w_generating_check(eta: float, n_terms: int) -> float:

@@ -2,12 +2,15 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from casimir_rect import cli
 from casimir_rect.quad import QuadratureError
 from casimir_rect.tables import FunctionTable, render_csv, render_json, render_value
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 
 class TestTables:
@@ -132,11 +135,13 @@ class TestDeterminismAndFormats:
             for c, j in zip(crow, jrow):
                 assert float(c) == j
 
-    def test_thread_env_does_not_change_output(self, capsys, monkeypatch):
-        _, base = run_cli(capsys, self.ARGS)
-        monkeypatch.setenv("CASIMIR_RECT_THREADS", "4")
-        _, threaded = run_cli(capsys, self.ARGS)
-        assert base == threaded
+    def test_potential_grid_matches_benchmark_reference(self, capsys):
+        # pins the I2 integrand path of theta_sc to the recorded bytes
+        argv = ["theta-table", "--x-min", "-2.0", "--x-max", "5.0", "--steps", "2",
+                "--rho", "1.0", "--rho", "1.5", "--rho", "2.0", "--rho", "3.0"]
+        code, out = run_cli(capsys, argv)
+        assert code == 0
+        assert out == (REFERENCE / "potential_grid.csv").read_text()
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
@@ -168,3 +173,24 @@ class TestExitCodes:
         monkeypatch.setattr(cli.casimir, "find_rho0", boom)
         assert cli.main(["rho0"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["zeros", "--x", "nan"], 1),
+        (["zeros", "--x", "1", "--tol", "nan"], 1),
+        (["weights", "--x", "-inf"], 1),
+        (["sigma", "--x", "0", "--rho", "inf"], 1),
+        (["vartheta-table", "--x-min", "nan", "--x-max", "1", "--steps", "3", "--rho", "1"], 1),
+        (["vartheta-table", "--x-min", "-1", "--x-max", "inf", "--steps", "3", "--rho", "1"], 1),
+        (["vartheta-table", "--x-min", "-1", "--x-max", "1", "--steps", "3", "--rho", "inf"], 1),
+        (["theta-table", "--x-min", "1", "--x-max", "2", "--steps", "2", "--rho", "nan"], 1),
+        (["critical", "--rho", "inf"], 1),
+        (["effspin-check", "--x", "nan", "--rho", "1"], 1),
+        # exp overflow in the weight prefactor: a numerical failure
+        (["vartheta-table", "--x-min", "-360", "--x-max", "-360", "--steps", "1",
+          "--rho", "1"], 2),
+    ], ids=lambda v: "_".join(v) if isinstance(v, list) else None)
+    def test_exit_code_without_traceback(self, capsys, argv, expected):
+        assert cli.main(argv) == expected
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err

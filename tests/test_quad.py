@@ -49,9 +49,13 @@ def test_sqrt_singularity_substituted_exp():
     assert got == pytest.approx(1.0, abs=1e-12)
 
 
-def test_scalar_callable_fallback():
-    got = integrate_finite(lambda t: math.exp(-t), 0.0, 5.0)
-    assert got == pytest.approx(1.0 - math.exp(-5.0), abs=1e-12)
+def test_scalar_only_integrand_rejected():
+    # integrands take and return node arrays; a scalar-only callable fails
+    # on its first panel instead of being wrapped in a per-node loop
+    with pytest.raises((TypeError, ValueError)):
+        integrate_finite(lambda t: math.exp(-t), 0.0, 5.0)
+    with pytest.raises(ValueError):
+        integrate_finite(lambda t: 1.0, 0.0, 5.0)
 
 
 @pytest.mark.parametrize("rel", [1e-6, 1e-9, 1e-12])

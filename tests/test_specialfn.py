@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from casimir_rect.specialfn import (
+    QSeriesContext,
     catalan_constant,
     dilog,
     divisor_sigma,
@@ -112,6 +113,12 @@ class TestQSeries:
         lhs = -PI / 2.0 * math.fsum(divisor_sigma(n) * q**n for n in range(1, 60))
         rhs = PI / 48.0 * (eisenstein_E2(rho) - 1.0)
         assert lhs == pytest.approx(rhs, abs=1e-14)
+
+    def test_tail_bound_violation_raises(self, monkeypatch):
+        # a real raise, so the check survives python -O
+        monkeypatch.setattr(QSeriesContext, "tail_bound", lambda self: math.inf)
+        with pytest.raises(RuntimeError, match="tail bound"):
+            eisenstein_E2(1.0)
 
 
 class TestCatalan:
