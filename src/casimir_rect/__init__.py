@@ -12,10 +12,8 @@ forms, and the near-critical corner and surface free-energy constants.
 __version__ = "0.1.0"
 
 from .casimir import (
-    CasimirSample,
     ScalingPoint,
     casimir_amplitude,
-    evaluate_sample,
     find_rho0,
     integral_I1,
     integral_I2,
@@ -55,7 +53,6 @@ from .sigma import (
     sigma_series,
 )
 from .specialfn import (
-    QSeriesContext,
     catalan_constant,
     dilog,
     divisor_sigma,
@@ -65,7 +62,7 @@ from .specialfn import (
     log_dedekind_eta,
     log_q_pochhammer,
 )
-from .strip import StripSample, strip_sample, theta_oo, vartheta_oo
+from .strip import theta_oo, vartheta_oo
 from .thermo_constants import (
     ExpansionResult,
     corner_free_energy,

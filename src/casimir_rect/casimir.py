@@ -41,7 +41,6 @@ from .thermo_constants import Z_CRITICAL
 
 __all__ = [
     "ScalingPoint",
-    "CasimirSample",
     "Z_CRITICAL",
     "DEFAULT_ORDER",
     "integral_I1",
@@ -54,7 +53,6 @@ __all__ = [
     "casimir_amplitude",
     "find_rho0",
     "lattice_to_scaling",
-    "evaluate_sample",
 ]
 
 DEFAULT_ORDER = 8
@@ -89,27 +87,9 @@ class ScalingPoint:
         return self.x * self.rho
 
 
-@dataclass(frozen=True)
-class CasimirSample:
-    """Full set of scaling-function values at one point."""
-
-    point: ScalingPoint
-    theta_total: float | None
-    vartheta_total: float
-    theta_sc: float
-    psi_val: float
-    Psi_val: float
-
-
-@lru_cache(maxsize=None)
-def _psi1(xi: float, N: int) -> float:
-    """Strip force at unit aspect ratio, memoized over quadrature nodes."""
-    return sigma.psi_strip(xi, 1.0, N)
-
-
-@lru_cache(maxsize=None)
-def _log_sigma(x: float, rho: float, N: int) -> float:
-    return math.log(sigma.sigma_series(x, rho, N).value)
+def _require_finite(*values: float) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"arguments must be finite, got {values}")
 
 
 def integral_I1(x_vol: float) -> float:
@@ -171,13 +151,13 @@ def integral_I2(x_vol: float, N: int = DEFAULT_ORDER) -> float:
         raise ValueError("logarithmically divergent at x_vol = 0")
     sgn = 1.0 if x_vol > 0.0 else -1.0
     h = abs(x_vol)
-    psi0 = _psi1(0.0, N)
+    psi0 = sigma.psi_strip(0.0, 1.0, N)
     total = psi0 * math.log1p(1.0 / (x_vol * x_vol))
     if x_vol < 0.0:
         total -= math.log(2.0)
 
     def psi1(eta: np.ndarray) -> np.ndarray:
-        return np.array([_psi1(sgn * e, N) for e in eta])
+        return np.array([sigma.psi_strip(sgn * e, 1.0, N) for e in eta])
 
     def far(eta: np.ndarray) -> np.ndarray:
         return 2.0 * psi1(eta) / eta
@@ -210,9 +190,11 @@ def theta_sc(x: float, N: int = DEFAULT_ORDER) -> float:
     Carries the -log|x|/8 divergence and the -(3/4) log 2 * sign(x) jump;
     tends to -log 2 for x -> -inf and to 0 for x -> +inf.
     """
+    _require_finite(x)
     if x == 0.0:
         raise ValueError("logarithmically divergent at x = 0")
-    return -strip.theta_oo(x) + _log_sigma(x, 1.0, N) + theta_volume_rho1(x, N)
+    return (-strip.theta_oo(x) + math.log(sigma.sigma_series(x, 1.0, N).value)
+            + theta_volume_rho1(x, N))
 
 
 def _dPsi_dx(x: float, rho: float, N: int) -> float:
@@ -234,7 +216,8 @@ def x_dtheta_sc(x: float, N: int = DEFAULT_ORDER) -> float:
     unlike theta_sc itself this stays finite at x = 0, where it equals
     -1/8 (the corner log amplitude).
     """
-    val = strip.theta_oo(x) + strip.vartheta_oo(x) - 2.0 * _psi1(x, N)
+    _require_finite(x)
+    val = strip.theta_oo(x) + strip.vartheta_oo(x) - 2.0 * sigma.psi_strip(x, 1.0, N)
     if x != 0.0:
         val -= x * _dPsi_dx(x, 1.0, N)
     return val
@@ -247,6 +230,7 @@ def theta_total(x: float, rho: float, N: int = DEFAULT_ORDER) -> float:
     finite critical quantity is casimir_amplitude.  For rho < 1 the
     exchange symmetry theta(x, rho) = rho^-2 theta(x rho, 1/rho) is used.
     """
+    _require_finite(x, rho)
     if x == 0.0:
         raise ValueError("divergent at x = 0; see casimir_amplitude")
     if rho <= 0.0:
@@ -267,6 +251,7 @@ def vartheta_total(x: float, rho: float, N: int = DEFAULT_ORDER) -> float:
                                 - u dPsi/dx(u, 1/rho) - psi(u, 1/rho) ],
     with u = x rho.  Both branches agree identically at rho = 1.
     """
+    _require_finite(x, rho)
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     if rho >= 1.0:
@@ -285,11 +270,13 @@ def casimir_amplitude(rho: float) -> float:
     The equivalent route rho*theta_oo(0) - log Sigma(0, rho) is evaluated
     as a consistency check whenever the series is in its validity range.
     """
+    _require_finite(rho)
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     value = 0.25 * log_dedekind_eta(rho)
     if rho >= 0.5:
-        other = rho * strip.theta_oo(0.0) - _log_sigma(0.0, rho, DEFAULT_ORDER + 2)
+        other = (rho * strip.theta_oo(0.0)
+                 - math.log(sigma.sigma_series(0.0, rho, DEFAULT_ORDER + 2).value))
         if abs(value - other) > 1e-11:
             raise RuntimeError(
                 f"amplitude routes disagree at rho={rho}: {value} vs {other}")
@@ -339,19 +326,3 @@ def lattice_to_scaling(z: float, L: int, M: int) -> ScalingPoint:
     if L < 1 or M < 1:
         raise ValueError("lattice extents must be positive integers")
     return ScalingPoint(x=2.0 * M * (1.0 - z / Z_CRITICAL), rho=L / M)
-
-
-def evaluate_sample(x: float, rho: float, N: int = DEFAULT_ORDER) -> CasimirSample:
-    """All scaling functions at one point; theta_total is None at x = 0."""
-    point = ScalingPoint(x=x, rho=rho)
-    theta = None if x == 0.0 else theta_total(x, rho, N)
-    sc = math.nan if x == 0.0 else theta_sc(x, N)
-    if rho >= 1.0:
-        psi_val = sigma.psi_strip(x, rho, N)
-        psi_cap = sigma.Psi(x, rho, N)
-    else:
-        psi_val = sigma.psi_strip(x * rho, 1.0 / rho, N)
-        psi_cap = sigma.Psi(x * rho, 1.0 / rho, N)
-    return CasimirSample(point=point, theta_total=theta,
-                         vartheta_total=vartheta_total(x, rho, N),
-                         theta_sc=sc, psi_val=psi_val, Psi_val=psi_cap)

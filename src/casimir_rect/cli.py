@@ -81,7 +81,7 @@ def _cmd_weights(config: RunConfig) -> FunctionTable:
 
 def _cmd_sigma(config: RunConfig) -> FunctionTable:
     p = config.params
-    x, rho = p["x"], p["rho"][0] if isinstance(p["rho"], list) else p["rho"]
+    x, rho = p["x"], p["rho"]
     table = FunctionTable(["x", "rho", "sigma_series", "sigma_det", "Psi", "psi"])
     series = sigma.sigma_series(x, rho, p["order"]).value
     det = sigma.sigma_det(x, rho, p["modes"]).value
@@ -141,7 +141,7 @@ def _cmd_constants(config: RunConfig) -> FunctionTable:
 
 def _cmd_effspin_check(config: RunConfig) -> FunctionTable:
     p = config.params
-    x, rho, n = p["x"], p["rho"][0] if isinstance(p["rho"], list) else p["rho"], p["n"]
+    x, rho, n = p["x"], p["rho"], p["n"]
     model = effspin.build_model(x, n)
     z_eff = effspin.enumerate_partition(model, rho)
     matched = effspin.matched_series(x, rho, n)

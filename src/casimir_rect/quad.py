@@ -72,6 +72,7 @@ _WG = np.array([
     0.1294849661688696932706,
 ])
 
+_MAX_DEPTH = 60
 _MAX_PANELS = 20000
 
 
@@ -81,17 +82,14 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and limits for the adaptive quadrature."""
+    """Tolerances for the adaptive quadrature."""
 
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
-    max_depth: int = 60
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -116,7 +114,8 @@ def integrate_finite(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC)
 
     Globally adaptive: the panel with the largest error estimate is bisected
     until the summed estimate meets the tolerance.  Raises QuadratureError
-    when the worst panel has reached max_depth or the panel budget is spent.
+    when the worst panel has reached _MAX_DEPTH bisections or the panel
+    budget is spent.
     """
     if a > b:
         raise ValueError("integration bounds must satisfy a <= b")
@@ -132,7 +131,7 @@ def integrate_finite(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC)
             return total
         worst = max(range(len(panels)), key=lambda i: panels[i][4])
         pa, pb, depth, _, perr = panels[worst]
-        if depth >= spec.max_depth:
+        if depth >= _MAX_DEPTH:
             raise QuadratureError(
                 f"adaptive depth exhausted on panel [{pa}, {pb}] "
                 f"(error estimate {perr:.3e}, requested {tol:.3e})"

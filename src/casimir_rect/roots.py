@@ -82,9 +82,9 @@ def _char_and_deriv(f: float, x: float) -> tuple[float, float]:
     return p, dp
 
 
-def _solve_bracket(func, dfunc, lo: float, hi: float, tol: float, what: str) -> float:
-    """Safeguarded Newton within [lo, hi]; func(lo), func(hi) have opposite signs."""
-    flo, fhi = func(lo), func(hi)
+def _solve_bracket(func, lo: float, hi: float, tol: float, what: str) -> float:
+    """Safeguarded Newton within [lo, hi]; func(z) = (f, f') and f changes sign."""
+    flo, fhi = func(lo)[0], func(hi)[0]
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -93,21 +93,20 @@ def _solve_bracket(func, dfunc, lo: float, hi: float, tol: float, what: str) -> 
         raise RootFindError(f"no sign change on bracket [{lo}, {hi}] for {what}")
     z = 0.5 * (lo + hi)
     for _ in range(200):
-        fz = func(z)
+        fz, dz = func(z)
         if abs(fz) <= tol:
             return z
         if math.copysign(1.0, fz) == math.copysign(1.0, flo):
             lo, flo = z, fz
         else:
             hi = z
-        dz = dfunc(z)
         step_ok = dz != 0.0
         if step_ok:
             znew = z - fz / dz
             step_ok = lo < znew < hi
         z = znew if step_ok else 0.5 * (lo + hi)
         if hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
-            fz = func(z)
+            fz = func(z)[0]
             if abs(fz) <= max(tol, 1e-11):
                 return z
             raise RootFindError(
@@ -119,16 +118,14 @@ def _solve_bracket(func, dfunc, lo: float, hi: float, tol: float, what: str) -> 
 def _find_zero_imag(x: float, tol: float) -> ZeroRecord:
     """First zero for x < -1: solve y*coth(y) = -x on (0, -x), phi_sq = -y^2."""
 
-    def g(y: float) -> float:
-        return y / math.tanh(y) - (-x)
-
-    def dg(y: float) -> float:
+    def g(y: float) -> tuple[float, float]:
         t = math.tanh(y)
-        return 1.0 / t - y / (math.sinh(y) ** 2) if y < 350.0 else 1.0
+        dg = 1.0 / t - y / (math.sinh(y) ** 2) if y < 350.0 else 1.0
+        return y / t - (-x), dg
 
     lo = 1e-12
     hi = -x
-    y = _solve_bracket(g, dg, lo, hi, tol * max(1.0, -x), f"imaginary zero at x={x}")
+    y = _solve_bracket(g, lo, hi, tol * max(1.0, -x), f"imaginary zero at x={x}")
     # gamma = sqrt(x^2 - y^2) = y/sinh(y) from the dispersion relation;
     # the direct difference cancels catastrophically for large |x|.
     gamma = y / math.sinh(y) if y < 350.0 else 2.0 * y * math.exp(-y)
@@ -165,13 +162,8 @@ def find_zero(mu: int, x: float, tol: float = 1e-14) -> ZeroRecord:
     if lo == 0.0:
         lo = 1e-12
 
-    def p(f: float) -> float:
-        return _char_and_deriv(f, x)[0]
-
-    def dp(f: float) -> float:
-        return _char_and_deriv(f, x)[1]
-
-    f = _solve_bracket(p, dp, lo, hi, tol, f"zero mu={mu} at x={x}")
+    f = _solve_bracket(lambda f: _char_and_deriv(f, x), lo, hi, tol,
+                       f"zero mu={mu} at x={x}")
     phi_sq = f * f
     gamma = math.sqrt(x * x + phi_sq)
     return ZeroRecord(mu=mu, sigma=sigma, phi_sq=phi_sq, gamma=gamma)

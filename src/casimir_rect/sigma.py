@@ -82,45 +82,16 @@ def enumerate_sets(n: int) -> tuple[tuple[int, ...], ...]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    results: list[tuple[int, ...]] = []
 
-    def extend(k: int, odds: list[int], evens: list[int], remaining: int, lo_o: int, lo_e: int):
-        if len(odds) == len(evens) == k:
-            if remaining == 0:
-                results.append(tuple(sorted(odds + evens)))
-            return
-        # choose next odd element if odds incomplete, else next even
-        need_o = k - len(odds)
-        need_e = k - len(evens)
-        if need_o > 0:
-            start = lo_o
-            while True:
-                cand = 2 * start - 1  # start-th odd number
-                cost = 2 * cand - 1
-                # minimal completion cost for the rest
-                rest_o = sum(2 * (2 * (start + j) - 1) - 1 for j in range(1, need_o))
-                rest_e = sum(2 * (2 * (lo_e + j)) - 1 for j in range(need_e))
-                if cost + rest_o + rest_e > remaining:
-                    break
-                extend(k, odds + [cand], evens, remaining - cost, start + 1, lo_e)
-                start += 1
-        else:
-            start = lo_e
-            while True:
-                cand = 2 * start  # start-th even number
-                cost = 2 * cand - 1
-                rest_e = sum(2 * (2 * (start + j)) - 1 for j in range(1, need_e))
-                if cost + rest_e > remaining:
-                    break
-                extend(k, odds, evens + [cand], remaining - cost, lo_o, start + 1)
-                start += 1
+    def distinct(total: int, lo: int):
+        # ascending indices >= lo whose weights 2m - 1 sum to total
+        if total == 0:
+            yield ()
+        for m in range(lo, (total + 1) // 2 + 1):
+            for rest in distinct(total - (2 * m - 1), m + 1):
+                yield (m, *rest)
 
-    total = 4 * n  # in units of half-integers doubled: sum (2 mu - 1) = 4n
-    k = 1
-    while 2 * k * k + k <= 2 * n + k:  # minimal weight of k pairs fits
-        extend(k, [], [], total, 1, 1)
-        k += 1
-    return tuple(sorted(results))
+    return tuple(sorted(s for s in distinct(4 * n, 1) if _balanced(s)))
 
 
 def amplitude(s, x: float) -> SubsetTerm:
@@ -163,7 +134,7 @@ def _terms_up_to(x: float, N: int) -> tuple[SubsetTerm, ...]:
 
 
 def _require_rho(rho: float) -> None:
-    if rho < _MIN_RHO:
+    if not rho >= _MIN_RHO:
         raise ValueError(
             f"rho = {rho} below {_MIN_RHO}; use the exchange symmetry at the "
             "potential/force level instead"

@@ -12,12 +12,10 @@ below 1e-18, with an explicit geometric tail bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "QSeriesContext",
     "dilog",
     "euler_beta",
     "divisor_sigma",
@@ -115,28 +113,16 @@ def divisor_sigma(n: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class QSeriesContext:
-    """Nome and truncation point of a divisor-sum q-series evaluation."""
-
-    q: float
-    n_terms: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.q < 1.0:
-            raise ValueError("nome must satisfy 0 <= q < 1")
-
-    def tail_bound(self) -> float:
-        """Geometric bound on the omitted tail sum_{m>n} m^2 q^m."""
-        n, q = self.n_terms, self.q
-        r = q * ((n + 1) / n) ** 2
-        if r >= 1.0:
-            return math.inf
-        return (n + 1) ** 2 * q ** (n + 1) / (1.0 - r)
-
-
 _TERM_FLOOR = 1e-18
 _TERM_CAP = 5000
+
+
+def _tail_bound(q: float, n: int) -> float:
+    """Geometric bound on the omitted tail sum_{m>n} m^2 q^m."""
+    r = q * ((n + 1) / n) ** 2
+    if r >= 1.0:
+        return math.inf
+    return (n + 1) ** 2 * q ** (n + 1) / (1.0 - r)
 
 
 def _sigma_q_sum(q: float, weight: int = 0) -> float:
@@ -144,7 +130,7 @@ def _sigma_q_sum(q: float, weight: int = 0) -> float:
 
     The tail after N terms is bounded by sum_{n>N} n^2 q^n, which is
     geometric-dominated; the bound is checked to lie below 1e-15 relative to the
-    leading term's scale at the truncation recorded in the context.
+    leading term's scale.
     """
     if q == 0.0:
         return 0.0
@@ -158,8 +144,7 @@ def _sigma_q_sum(q: float, weight: int = 0) -> float:
             break
     else:
         raise RuntimeError("q-series truncation cap reached")
-    ctx = QSeriesContext(q=q, n_terms=n)
-    if not ctx.tail_bound() < 1e-15 * max(1.0, abs(total)):
+    if not _tail_bound(q, n) < 1e-15 * max(1.0, abs(total)):
         raise RuntimeError("q-series tail bound violated")
     return total
 

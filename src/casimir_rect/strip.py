@@ -15,25 +15,15 @@ integrable log endpoint that develops for x < 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import quad
 from .quad import QuadratureSpec
 
-__all__ = ["StripSample", "theta_oo", "vartheta_oo", "strip_sample"]
+__all__ = ["theta_oo", "vartheta_oo"]
 
 STRIP_SPEC = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-13)
-
-
-@dataclass(frozen=True)
-class StripSample:
-    """Both strip scaling functions at one value of x."""
-
-    x: float
-    theta_oo: float
-    vartheta_oo: float
 
 
 def _decay_factor(w: np.ndarray, x: float) -> np.ndarray:
@@ -79,8 +69,3 @@ def vartheta_oo(x: float) -> float:
         return np.hypot(w, x) * b / (1.0 + b)
 
     return -_strip_integral(x, integrand) / math.pi
-
-
-def strip_sample(x: float) -> StripSample:
-    """Evaluate both strip functions at one point."""
-    return StripSample(x=x, theta_oo=theta_oo(x), vartheta_oo=vartheta_oo(x))

@@ -8,7 +8,6 @@ from casimir_rect import casimir, sigma, strip
 from casimir_rect.casimir import (
     ScalingPoint,
     casimir_amplitude,
-    evaluate_sample,
     find_rho0,
     integral_I1,
     integral_I2,
@@ -183,10 +182,10 @@ class TestThetaTotal:
         assert got == ref  # the rho < 1 branch is defined by this relation
 
     def test_decomposition_identity(self):
-        x, rho = -1.5, 1.4
-        total = theta_total(x, rho)
-        parts = strip.theta_oo(x) + theta_sc(x) / rho + sigma.Psi(x, rho, 8)
-        assert total == pytest.approx(parts, abs=1e-9)
+        for x, rho in ((-1.5, 1.4), (-1.0, 1.5)):
+            total = theta_total(x, rho)
+            parts = strip.theta_oo(x) + theta_sc(x) / rho + sigma.Psi(x, rho, 8)
+            assert total == pytest.approx(parts, abs=1e-9)
 
 
 class TestVarthetaTotal:
@@ -267,15 +266,22 @@ class TestRho0:
         assert vartheta_total(0.0, find_rho0()) == pytest.approx(0.0, abs=1e-10)
 
 
-class TestSample:
-    def test_fields_at_regular_point(self):
-        s = evaluate_sample(-1.0, 1.5)
-        assert s.point.x == -1.0
-        assert s.theta_total == pytest.approx(theta_total(-1.0, 1.5), abs=1e-15)
-        assert s.theta_total == pytest.approx(
-            strip.theta_oo(-1.0) + s.theta_sc / 1.5 + s.Psi_val, abs=1e-9)
+# each public entry point with one argument left free
+_ENTRY_POINTS = {
+    "theta_total_x": lambda v: theta_total(v, 1.5),
+    "theta_total_rho": lambda v: theta_total(1.0, v),
+    "vartheta_total_x": lambda v: vartheta_total(v, 1.0),
+    "vartheta_total_rho": lambda v: vartheta_total(1.0, v),
+    "vartheta_total_x_small_rho": lambda v: vartheta_total(v, 0.7),
+    "theta_sc": theta_sc,
+    "x_dtheta_sc": x_dtheta_sc,
+    "casimir_amplitude": casimir_amplitude,
+}
 
-    def test_fields_at_critical_point(self):
-        s = evaluate_sample(0.0, 1.0)
-        assert s.theta_total is None
-        assert s.vartheta_total == pytest.approx(1.0 / 16.0, abs=1e-12)
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_non_finite_input_raises(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        _ENTRY_POINTS[name](value)

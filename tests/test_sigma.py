@@ -106,6 +106,8 @@ class TestSeries:
         with pytest.raises(ValueError):
             sigma_series(0.0, 0.4, 4)
         with pytest.raises(ValueError):
+            sigma_series(0.0, math.nan, 4)
+        with pytest.raises(ValueError):
             sigma_series(0.0, 1.0, 0)
 
 

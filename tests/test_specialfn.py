@@ -6,8 +6,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from casimir_rect import specialfn
 from casimir_rect.specialfn import (
-    QSeriesContext,
     catalan_constant,
     dilog,
     divisor_sigma,
@@ -116,7 +116,7 @@ class TestQSeries:
 
     def test_tail_bound_violation_raises(self, monkeypatch):
         # a real raise, so the check survives python -O
-        monkeypatch.setattr(QSeriesContext, "tail_bound", lambda self: math.inf)
+        monkeypatch.setattr(specialfn, "_tail_bound", lambda q, n: math.inf)
         with pytest.raises(RuntimeError, match="tail bound"):
             eisenstein_E2(1.0)
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from casimir_rect.strip import strip_sample, theta_oo, vartheta_oo
+from casimir_rect.strip import theta_oo, vartheta_oo
 
 PI = math.pi
 
@@ -31,7 +31,7 @@ def test_vartheta_critical_value():
 
 
 def test_high_temperature_decay():
-    for x in (3.0, 5.0, 8.0):
+    for x in (1.5, 3.0, 5.0, 8.0):
         val = theta_oo(x)
         assert val < 0.0
         assert abs(val) <= math.exp(-2.0 * x)
@@ -76,11 +76,3 @@ def test_smoothness_fd_consistency(x):
     d1 = (theta_oo(x + 1e-4) - theta_oo(x - 1e-4)) / 2e-4
     d2 = (theta_oo(x + 5e-5) - theta_oo(x - 5e-5)) / 1e-4
     assert d1 == pytest.approx(d2, abs=1e-6)
-
-
-def test_sample_container():
-    s = strip_sample(1.5)
-    assert s.x == 1.5
-    assert s.theta_oo == theta_oo(1.5)
-    assert s.vartheta_oo == vartheta_oo(1.5)
-    assert s.theta_oo <= 0.0
