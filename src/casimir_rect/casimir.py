@@ -101,19 +101,13 @@ def integral_I1(x_vol: float) -> float:
     Catalan's constant.  For x < 0 the integrand has an integrable squared
     log at s = 0, handled on (0, 1] in the variable s = e^{-u}.
     """
+    _require_finite(x_vol)
     if x_vol == 0.0:
         raise ValueError("logarithmically divergent at x_vol = 0")
     x = x_vol
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        omega = np.hypot(s, x)
-        if x > 0.0:
-            ratio = (s / (omega + x)) ** 2
-        else:
-            ratio = ((omega - x) / s) ** 2
-        z = -ratio * np.exp(-2.0 * omega)
-        return dilog(z) / omega
+        return dilog(-strip.decay_factor(s, x)) / np.hypot(s, x)
 
     tail = quad.integrate_finite(integrand, 1.0, abs(x) + 32.0, _I1_PART_SPEC)
     if x > 0.0:
@@ -147,6 +141,7 @@ def integral_I2(x_vol: float, N: int = DEFAULT_ORDER) -> float:
     -log 2; together with the changed limit this produces the jump
     2C - (3/2) log 2 across x_vol = 0 (C = Catalan's constant).
     """
+    _require_finite(x_vol)
     if x_vol == 0.0:
         raise ValueError("logarithmically divergent at x_vol = 0")
     sgn = 1.0 if x_vol > 0.0 else -1.0
@@ -283,14 +278,12 @@ def casimir_amplitude(rho: float) -> float:
     return value
 
 
-def find_rho0(tol: float = 1e-14) -> float:
+def find_rho0() -> float:
     """Aspect ratio where the critical Casimir force changes sign.
 
     Root of the weight-two Eisenstein series on the imaginary axis,
-    bracketed in (0.4, 0.7) and polished by secant steps.
+    bracketed in (0.4, 0.7) and polished by secant steps to 1e-14.
     """
-    if tol < 1e-15:
-        raise ValueError("tol below achievable precision")
     lo, hi = 0.4, 0.7
     flo = eisenstein_E2(lo)
     if not flo < 0.0 < eisenstein_E2(hi):
@@ -311,7 +304,7 @@ def find_rho0(tol: float = 1e-14) -> float:
             break
         c = b - fb * (b - a) / (fb - fa)
         a, fa, b, fb = b, fb, c, eisenstein_E2(c)
-        if abs(b - a) < tol:
+        if abs(b - a) < 1e-14:
             break
     return b
 

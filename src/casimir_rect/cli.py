@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__, casimir, effspin, roots, sigma, specialfn, strip
 from . import thermo_constants, weights
@@ -23,30 +22,7 @@ from .quad import QuadratureError
 from .roots import RootFindError
 from .tables import FunctionTable, emit_table
 
-__all__ = ["RunConfig", "run", "main"]
-
-_COMMANDS = ("zeros", "weights", "sigma", "theta-table", "vartheta-table",
-             "critical", "constants", "rho0", "effspin-check")
-
-
-@dataclass
-class RunConfig:
-    """Validated CLI invocation: command, parameters, and output choices."""
-
-    command: str
-    params: dict = field(default_factory=dict)
-    format: str = "csv"
-    output: str | None = None
-
-
-def _emit(table: FunctionTable, config: RunConfig) -> None:
-    meta = {"tool": "casimir-rect", "version": __version__,
-            "command": config.command, "params": config.params}
-    if config.output:
-        with open(config.output, "w", newline="\n") as fh:
-            emit_table(table, config.format, fh, meta)
-    else:
-        emit_table(table, config.format, sys.stdout, meta)
+__all__ = ["main"]
 
 
 def _x_grid(params: dict) -> list[float]:
@@ -58,8 +34,7 @@ def _x_grid(params: dict) -> list[float]:
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
-def _cmd_zeros(config: RunConfig) -> FunctionTable:
-    p = config.params
+def _cmd_zeros(p: dict) -> FunctionTable:
     table = FunctionTable(["mu", "phi", "phi_sq", "gamma"])
     for rec in roots.find_zeros(p["count"], p["x"], p["tol"]):
         if rec.phi_sq < 0.0:
@@ -70,8 +45,7 @@ def _cmd_zeros(config: RunConfig) -> FunctionTable:
     return table
 
 
-def _cmd_weights(config: RunConfig) -> FunctionTable:
-    p = config.params
+def _cmd_weights(p: dict) -> FunctionTable:
     table = FunctionTable(["mu", "v", "method"])
     for mu in range(1, p["count"] + 1):
         rec = weights.weight(mu, p["x"])
@@ -79,8 +53,7 @@ def _cmd_weights(config: RunConfig) -> FunctionTable:
     return table
 
 
-def _cmd_sigma(config: RunConfig) -> FunctionTable:
-    p = config.params
+def _cmd_sigma(p: dict) -> FunctionTable:
     x, rho = p["x"], p["rho"]
     table = FunctionTable(["x", "rho", "sigma_series", "sigma_det", "Psi", "psi"])
     series = sigma.sigma_series(x, rho, p["order"]).value
@@ -90,8 +63,7 @@ def _cmd_sigma(config: RunConfig) -> FunctionTable:
     return table
 
 
-def _cmd_theta_table(config: RunConfig) -> FunctionTable:
-    p = config.params
+def _cmd_theta_table(p: dict) -> FunctionTable:
     xs = _x_grid(p)
     table = FunctionTable(["x", "rho", "theta_total", "note"])
     for rho in p["rho"]:
@@ -103,8 +75,7 @@ def _cmd_theta_table(config: RunConfig) -> FunctionTable:
     return table
 
 
-def _cmd_vartheta_table(config: RunConfig) -> FunctionTable:
-    p = config.params
+def _cmd_vartheta_table(p: dict) -> FunctionTable:
     xs = _x_grid(p)
     table = FunctionTable(["x", "rho", "vartheta"])
     for rho in p["rho"]:
@@ -113,8 +84,7 @@ def _cmd_vartheta_table(config: RunConfig) -> FunctionTable:
     return table
 
 
-def _cmd_critical(config: RunConfig) -> FunctionTable:
-    p = config.params
+def _cmd_critical(p: dict) -> FunctionTable:
     table = FunctionTable(["rho", "sigma0", "Delta0", "vartheta0", "psi0"])
     for rho in p["rho"]:
         sigma0 = math.exp(-0.25 * specialfn.log_q_pochhammer(rho))
@@ -124,7 +94,7 @@ def _cmd_critical(config: RunConfig) -> FunctionTable:
     return table
 
 
-def _cmd_constants(config: RunConfig) -> FunctionTable:
+def _cmd_constants(p: dict) -> FunctionTable:
     table = FunctionTable(["name", "value"])
     table.add_row("z_critical", casimir.Z_CRITICAL)
     table.add_row("catalan", specialfn.catalan_constant())
@@ -139,8 +109,7 @@ def _cmd_constants(config: RunConfig) -> FunctionTable:
     return table
 
 
-def _cmd_effspin_check(config: RunConfig) -> FunctionTable:
-    p = config.params
+def _cmd_effspin_check(p: dict) -> FunctionTable:
     x, rho, n = p["x"], p["rho"], p["n"]
     model = effspin.build_model(x, n)
     z_eff = effspin.enumerate_partition(model, rho)
@@ -153,34 +122,16 @@ def _cmd_effspin_check(config: RunConfig) -> FunctionTable:
     return table
 
 
-def _cmd_rho0(config: RunConfig) -> None:
-    sys.stdout.write(f"{casimir.find_rho0():.12f}\n")
-
-
-def run(config: RunConfig) -> int:
-    """Execute one validated configuration; returns the process exit code."""
-    try:
-        if config.command == "rho0":
-            _cmd_rho0(config)
-            return 0
-        builder = {
-            "zeros": _cmd_zeros,
-            "weights": _cmd_weights,
-            "sigma": _cmd_sigma,
-            "theta-table": _cmd_theta_table,
-            "vartheta-table": _cmd_vartheta_table,
-            "critical": _cmd_critical,
-            "constants": _cmd_constants,
-            "effspin-check": _cmd_effspin_check,
-        }[config.command]
-        _emit(builder(config), config)
-        return 0
-    except (QuadratureError, RootFindError, RuntimeError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+_BUILDERS = {
+    "zeros": _cmd_zeros,
+    "weights": _cmd_weights,
+    "sigma": _cmd_sigma,
+    "theta-table": _cmd_theta_table,
+    "vartheta-table": _cmd_vartheta_table,
+    "critical": _cmd_critical,
+    "constants": _cmd_constants,
+    "effspin-check": _cmd_effspin_check,
+}
 
 
 def _finite_float(text: str) -> float:
@@ -219,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sigma", help="partition-function scaling function")
     sp.add_argument("--x", type=_finite_float, required=True)
     sp.add_argument("--rho", type=_finite_float, required=True)
-    sp.add_argument("--order", type=int, default=8)
+    sp.add_argument("--order", type=int, default=casimir.DEFAULT_ORDER)
     sp.add_argument("--modes", type=int, default=16)
     add_common(sp)
 
@@ -231,12 +182,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--steps", type=int, required=True)
         sp.add_argument("--rho", type=_finite_float, action="append", required=True,
                         help="repeatable")
-        sp.add_argument("--order", type=int, default=8)
+        sp.add_argument("--order", type=int, default=casimir.DEFAULT_ORDER)
         add_common(sp)
 
     sp = sub.add_parser("critical", help="critical-point closed forms")
     sp.add_argument("--rho", type=_finite_float, action="append", required=True)
-    sp.add_argument("--order", type=int, default=8)
+    sp.add_argument("--order", type=int, default=casimir.DEFAULT_ORDER)
     add_common(sp)
 
     sp = sub.add_parser("constants", help="named constants table")
@@ -254,6 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line; returns the process exit code."""
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
@@ -261,10 +213,25 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     params = {k: v for k, v in vars(ns).items()
               if k not in ("command", "format", "output")}
-    config = RunConfig(command=ns.command, params=params,
-                       format=getattr(ns, "format", "csv"),
-                       output=getattr(ns, "output", None))
-    return run(config)
+    try:
+        if ns.command == "rho0":
+            sys.stdout.write(f"{casimir.find_rho0():.12f}\n")
+            return 0
+        table = _BUILDERS[ns.command](params)
+        meta = {"tool": "casimir-rect", "version": __version__,
+                "command": ns.command, "params": params}
+        if ns.output:
+            with open(ns.output, "w", newline="\n") as fh:
+                emit_table(table, ns.format, fh, meta)
+        else:
+            emit_table(table, ns.format, sys.stdout, meta)
+        return 0
+    except (QuadratureError, RootFindError, RuntimeError, ArithmeticError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

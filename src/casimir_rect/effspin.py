@@ -57,12 +57,17 @@ def build_model(x: float, n_spins: int) -> EffectiveModel:
                           moments=np.array([z.gamma for z in zs]), parities=sig)
 
 
-def _balanced_configs(model: EffectiveModel):
-    """All charge-balanced occupation sets (as index tuples, 0-based)."""
-    odds = [i for i in range(model.n_spins) if model.parities[i] == 1]
-    evens = [i for i in range(model.n_spins) if model.parities[i] == -1]
+def _balanced_configs(n_spins: int):
+    """All charge-balanced occupation sets (as index tuples, 0-based).
+
+    Odd modes mu sit at even 0-based indices, even modes at odd ones.
+    """
+    if n_spins > _MAX_SPINS:
+        raise ValueError(f"exact enumeration capped at {_MAX_SPINS} spins")
+    odds = range(0, n_spins, 2)
+    evens = range(1, n_spins, 2)
     yield ()
-    for k in range(1, min(len(odds), len(evens)) + 1):
+    for k in range(1, len(evens) + 1):
         for occ_o in combinations(odds, k):
             for occ_e in combinations(evens, k):
                 yield occ_o + occ_e
@@ -83,10 +88,8 @@ def enumerate_partition(model: EffectiveModel, rho: float) -> float:
     and maps one-to-one onto a subset-series term a_s exp(-rho Gamma_s);
     the empty configuration contributes 1.
     """
-    if model.n_spins > _MAX_SPINS:
-        raise ValueError(f"exact enumeration capped at {_MAX_SPINS} spins")
     return math.fsum(math.exp(_config_log_weight(model, occ, rho))
-                     for occ in _balanced_configs(model))
+                     for occ in _balanced_configs(model.n_spins))
 
 
 def matched_series(x: float, rho: float, n_spins: int) -> float:
@@ -98,13 +101,8 @@ def matched_series(x: float, rho: float, n_spins: int) -> float:
     """
     from .sigma import amplitude  # local import to avoid a module cycle
 
-    if n_spins > _MAX_SPINS:
-        raise ValueError(f"matched series capped at {_MAX_SPINS} spins")
-    parities = np.array([1 if (i + 1) % 2 == 1 else -1 for i in range(n_spins)])
-    shell = EffectiveModel(x=x, n_spins=n_spins, couplings=np.zeros((0, 0)),
-                           moments=np.zeros(n_spins), parities=parities)
     total = 1.0
-    for occ in _balanced_configs(shell):
+    for occ in _balanced_configs(n_spins):
         if not occ:
             continue
         term = amplitude(tuple(i + 1 for i in occ), x)
@@ -118,11 +116,9 @@ def magnetization(model: EffectiveModel, rho: float) -> float:
     Equals minus the strip Casimir force scaling function on matched
     truncations.
     """
-    if model.n_spins > _MAX_SPINS:
-        raise ValueError(f"exact enumeration capped at {_MAX_SPINS} spins")
     z = 0.0
     m = 0.0
-    for occ in _balanced_configs(model):
+    for occ in _balanced_configs(model.n_spins):
         w = math.exp(_config_log_weight(model, occ, rho))
         z += w
         m += w * sum(model.moments[i] for i in occ)

@@ -145,6 +145,8 @@ def find_zero(mu: int, x: float, tol: float = 1e-14) -> ZeroRecord:
         raise ValueError("mu must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     sigma = 1 if mu % 2 == 1 else -1
     if x == 0.0:
         f0 = (mu - 0.5) * math.pi

@@ -46,31 +46,20 @@ _MIN_RHO = 0.5
 class SubsetTerm:
     """One term of the balanced-subset series."""
 
-    s: tuple[int, ...]
-    order: int
     a: float
     gamma_sum: float
 
 
 @dataclass(frozen=True)
 class SigmaResult:
-    """Value of Sigma with the route and truncation that produced it."""
+    """Value of Sigma with the bound on its truncation error."""
 
     value: float
-    order: int
-    route: str  # series | determinant
     error_bound: float
 
 
 def _balanced(s) -> bool:
     return sum(1 for m in s if m % 2 == 1) == sum(1 for m in s if m % 2 == 0)
-
-
-def _subset_order(s) -> int:
-    twice = sum(2 * m - 1 for m in s)
-    if twice % 4 != 0:
-        raise ValueError("half-integer weights do not sum to an even integer")
-    return twice // 4
 
 
 @lru_cache(maxsize=None)
@@ -109,7 +98,6 @@ def amplitude(s, x: float) -> SubsetTerm:
         raise ValueError("index set must have distinct elements")
     if not _balanced(ss):
         raise ValueError("index set must balance odd and even elements")
-    order = _subset_order(ss)
     zs = [roots.zero_cached(m, x) for m in ss]
     a = 1.0
     for i, zi in enumerate(zs):
@@ -118,8 +106,7 @@ def amplitude(s, x: float) -> SubsetTerm:
             a *= d ** (2 * zi.sigma * zj.sigma)
     for m in ss:
         a *= weight_cached(m, x)
-    gamma_sum = math.fsum(z.gamma for z in zs)
-    return SubsetTerm(s=ss, order=order, a=a, gamma_sum=gamma_sum)
+    return SubsetTerm(a=a, gamma_sum=math.fsum(z.gamma for z in zs))
 
 
 @lru_cache(maxsize=None)
@@ -149,8 +136,7 @@ def sigma_series(x: float, rho: float, N: int) -> SigmaResult:
     total = 1.0
     for term in _terms_up_to(x, N):
         total += term.a * math.exp(-rho * term.gamma_sum)
-    return SigmaResult(value=total, order=N, route="series",
-                       error_bound=math.exp(-2.0 * math.pi * rho * N))
+    return SigmaResult(value=total, error_bound=math.exp(-2.0 * math.pi * rho * N))
 
 
 def _det_value(x: float, rho: float, modes: int) -> float:
@@ -181,8 +167,7 @@ def sigma_det(x: float, rho: float, modes: int) -> SigmaResult:
         delta = abs(value - _det_value(x, rho, modes - 1))
         if delta > 10.0 * math.exp(-2.0 * math.pi * rho * (modes - 1)):
             raise RuntimeError(f"modes = {modes} too small at rho = {rho}")
-    return SigmaResult(value=value, order=modes, route="determinant",
-                       error_bound=math.exp(-2.0 * math.pi * rho * modes))
+    return SigmaResult(value=value, error_bound=math.exp(-2.0 * math.pi * rho * modes))
 
 
 def Psi(x: float, rho: float, N: int) -> float:

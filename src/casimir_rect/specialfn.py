@@ -88,11 +88,7 @@ def euler_beta(a: float, b: float) -> float:
 
 
 def divisor_sigma(n: int) -> int:
-    """Sum of the divisors of n, by trial-division factorization.
-
-    Pure function of n with no shared state, so trivially safe under
-    concurrent callers.
-    """
+    """Sum of the divisors of n, by trial-division factorization."""
     if n < 1:
         raise ValueError("divisor_sigma requires n >= 1")
     total = 1
@@ -125,8 +121,8 @@ def _tail_bound(q: float, n: int) -> float:
     return (n + 1) ** 2 * q ** (n + 1) / (1.0 - r)
 
 
-def _sigma_q_sum(q: float, weight: int = 0) -> float:
-    """sum_n sigma(n) q^n / n^weight, truncated with a tail bound.
+def _sigma_q_sum(q: float) -> float:
+    """sum_n sigma(n) q^n, truncated with a tail bound.
 
     The tail after N terms is bounded by sum_{n>N} n^2 q^n, which is
     geometric-dominated; the bound is checked to lie below 1e-15 relative to the
@@ -138,7 +134,7 @@ def _sigma_q_sum(q: float, weight: int = 0) -> float:
     n = 0
     while n < _TERM_CAP:
         n += 1
-        term = divisor_sigma(n) * q**n / (n**weight if weight else 1)
+        term = divisor_sigma(n) * q**n
         total += term
         if n >= 4 and term < _TERM_FLOOR:
             break

@@ -21,12 +21,12 @@ import numpy as np
 from . import quad
 from .quad import QuadratureSpec
 
-__all__ = ["theta_oo", "vartheta_oo"]
+__all__ = ["decay_factor", "theta_oo", "vartheta_oo"]
 
 STRIP_SPEC = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-13)
 
 
-def _decay_factor(w: np.ndarray, x: float) -> np.ndarray:
+def decay_factor(w: np.ndarray, x: float) -> np.ndarray:
     """B = r(w) exp(-2 g) with r = (g-x)/(g+x) in cancellation-free form.
 
     (g-x)(g+x) = w^2 turns the ratio into w^2/(g+x)^2 for x >= 0 and
@@ -41,6 +41,8 @@ def _decay_factor(w: np.ndarray, x: float) -> np.ndarray:
 
 
 def _strip_integral(x: float, integrand) -> float:
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     scale = max(1.0, abs(x))
     w_max = abs(x) + 27.0
     u_max = math.asinh(w_max / scale)
@@ -56,7 +58,7 @@ def theta_oo(x: float) -> float:
     """Strip Casimir potential scaling function; theta_oo(0) = -pi/48."""
 
     def integrand(w: np.ndarray) -> np.ndarray:
-        return np.log1p(_decay_factor(w, x))
+        return np.log1p(decay_factor(w, x))
 
     return -_strip_integral(x, integrand) / (2.0 * math.pi)
 
@@ -65,7 +67,7 @@ def vartheta_oo(x: float) -> float:
     """Strip Casimir force scaling function; vartheta_oo(0) = -pi/48."""
 
     def integrand(w: np.ndarray) -> np.ndarray:
-        b = _decay_factor(w, x)
+        b = decay_factor(w, x)
         return np.hypot(w, x) * b / (1.0 + b)
 
     return -_strip_integral(x, integrand) / math.pi

@@ -30,8 +30,6 @@ def render_value(v) -> str:
     """Round-trip rendering: float(render_value(x)) == x for finite floats."""
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return str(v)
     if isinstance(v, float):
         return format(v, ".17g")
     return str(v)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .specialfn import catalan_constant, hurwitz_zeta_sderiv_neg1
 
@@ -62,7 +61,6 @@ def surface_free_energy(tau: float) -> ExpansionResult:
     return ExpansionResult(tau=tau, value=math.fsum(terms.values()), terms=terms)
 
 
-@lru_cache(maxsize=1)
 def surface_critical_value() -> float:
     """Exact critical surface free energy 0.1817314169844...
 

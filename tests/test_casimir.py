@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from casimir_rect import casimir, sigma, strip
+from casimir_rect import casimir, roots, sigma, strip
 from casimir_rect.casimir import (
     ScalingPoint,
     casimir_amplitude,
@@ -266,7 +266,7 @@ class TestRho0:
         assert vartheta_total(0.0, find_rho0()) == pytest.approx(0.0, abs=1e-10)
 
 
-# each public entry point with one argument left free
+# each public entry point of the Casimir, strip and zero layers, one argument left free
 _ENTRY_POINTS = {
     "theta_total_x": lambda v: theta_total(v, 1.5),
     "theta_total_rho": lambda v: theta_total(1.0, v),
@@ -276,6 +276,13 @@ _ENTRY_POINTS = {
     "theta_sc": theta_sc,
     "x_dtheta_sc": x_dtheta_sc,
     "casimir_amplitude": casimir_amplitude,
+    "integral_I1": integral_I1,
+    "integral_I2": integral_I2,
+    "theta_volume_rho1": theta_volume_rho1,
+    "theta_oo": strip.theta_oo,
+    "vartheta_oo": strip.vartheta_oo,
+    "find_zero": lambda v: roots.find_zero(1, v),
+    "find_zero_mu2": lambda v: roots.find_zero(2, v),
 }
 
 

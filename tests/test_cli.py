@@ -11,6 +11,14 @@ from casimir_rect.quad import QuadratureError
 from casimir_rect.tables import FunctionTable, render_csv, render_json, render_value
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
+# the benchmark workloads at their default seed, as bench/workloads.py builds them:
+# name -> (command, x_min, x_max, steps, aspect ratios)
+WORKLOADS = {
+    "rho_scan": ("vartheta-table", -12.0, 12.0, 12,
+                 tuple(1.0 + 4.0 * i / 159 for i in range(160))),
+    "slab_force": ("vartheta-table", -15.0, 15.0, 13, (0.55, 0.725, 0.9)),
+    "potential_grid": ("theta-table", -2.0, 5.0, 2, (1.0, 1.5, 2.0, 3.0)),
+}
 
 
 class TestTables:
@@ -135,13 +143,17 @@ class TestDeterminismAndFormats:
             for c, j in zip(crow, jrow):
                 assert float(c) == j
 
-    def test_potential_grid_matches_benchmark_reference(self, capsys):
-        # pins the I2 integrand path of theta_sc to the recorded bytes
-        argv = ["theta-table", "--x-min", "-2.0", "--x-max", "5.0", "--steps", "2",
-                "--rho", "1.0", "--rho", "1.5", "--rho", "2.0", "--rho", "3.0"]
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_workload_matches_benchmark_reference(self, capsys, name):
+        # pins each benchmark workload's default-seed table to the recorded bytes
+        command, x_min, x_max, steps, rhos = WORKLOADS[name]
+        argv = [command, "--x-min", repr(x_min), "--x-max", repr(x_max),
+                "--steps", str(steps)]
+        for rho in rhos:
+            argv += ["--rho", repr(rho)]
         code, out = run_cli(capsys, argv)
         assert code == 0
-        assert out == (REFERENCE / "potential_grid.csv").read_text()
+        assert out == (REFERENCE / f"{name}.csv").read_text()
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
