@@ -38,7 +38,6 @@ from .roots import (
     eval_char_poly,
     find_zero,
     find_zeros,
-    gamma_of,
     zero_series_approx,
 )
 from .sigma import (

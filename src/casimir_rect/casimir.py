@@ -36,6 +36,7 @@ import numpy as np
 
 from . import quad, sigma, strip
 from .quad import QuadratureSpec
+from .roots import solve_bracket
 from .specialfn import dilog, eisenstein_E2, log_dedekind_eta
 from .thermo_constants import Z_CRITICAL
 
@@ -282,31 +283,9 @@ def find_rho0() -> float:
     """Aspect ratio where the critical Casimir force changes sign.
 
     Root of the weight-two Eisenstein series on the imaginary axis,
-    bracketed in (0.4, 0.7) and polished by secant steps to 1e-14.
+    bracketed in (0.4, 0.7) and bisected until the bracket collapses.
     """
-    lo, hi = 0.4, 0.7
-    flo = eisenstein_E2(lo)
-    if not flo < 0.0 < eisenstein_E2(hi):
-        raise RuntimeError("sign-change bracket invalid")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = eisenstein_E2(mid)
-        if fm < 0.0:
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    a, b = lo, hi
-    fa, fb = eisenstein_E2(a), eisenstein_E2(b)
-    for _ in range(8):
-        if fb == fa:
-            break
-        c = b - fb * (b - a) / (fb - fa)
-        a, fa, b, fb = b, fb, c, eisenstein_E2(c)
-        if abs(b - a) < 1e-14:
-            break
-    return b
+    return solve_bracket(lambda rho: (eisenstein_E2(rho), 0.0), 0.4, 0.7, 0.0, "rho_0")
 
 
 def lattice_to_scaling(z: float, L: int, M: int) -> ScalingPoint:

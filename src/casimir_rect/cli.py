@@ -27,8 +27,6 @@ __all__ = ["main"]
 
 def _x_grid(params: dict) -> list[float]:
     lo, hi, steps = params["x_min"], params["x_max"], params["steps"]
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     if steps == 1:
         return [lo]
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
@@ -145,6 +143,22 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive(convert):
+    """argparse type for counts, orders, aspect ratios and tolerances: value > 0."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in its messages
+    return parse
+
+
+_positive_int, _positive_float = _positive(int), _positive(_finite_float)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="casimir-rect",
@@ -158,20 +172,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("zeros", help="zero table at one x")
     sp.add_argument("--x", type=_finite_float, required=True)
-    sp.add_argument("--count", type=int, default=4)
-    sp.add_argument("--tol", type=_finite_float, default=1e-14)
+    sp.add_argument("--count", type=_positive_int, default=4)
+    sp.add_argument("--tol", type=_positive_float, default=1e-14)
     add_common(sp)
 
     sp = sub.add_parser("weights", help="weight table at one x")
     sp.add_argument("--x", type=_finite_float, required=True)
-    sp.add_argument("--count", type=int, default=8)
+    sp.add_argument("--count", type=_positive_int, default=8)
     add_common(sp)
 
     sp = sub.add_parser("sigma", help="partition-function scaling function")
     sp.add_argument("--x", type=_finite_float, required=True)
-    sp.add_argument("--rho", type=_finite_float, required=True)
-    sp.add_argument("--order", type=int, default=casimir.DEFAULT_ORDER)
-    sp.add_argument("--modes", type=int, default=16)
+    sp.add_argument("--rho", type=_positive_float, required=True)
+    sp.add_argument("--order", type=_positive_int, default=casimir.DEFAULT_ORDER)
+    sp.add_argument("--modes", type=_positive_int, default=16)
     add_common(sp)
 
     for name, help_text in (("theta-table", "Casimir potential grid"),
@@ -179,15 +193,15 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--x-min", dest="x_min", type=_finite_float, required=True)
         sp.add_argument("--x-max", dest="x_max", type=_finite_float, required=True)
-        sp.add_argument("--steps", type=int, required=True)
-        sp.add_argument("--rho", type=_finite_float, action="append", required=True,
+        sp.add_argument("--steps", type=_positive_int, required=True)
+        sp.add_argument("--rho", type=_positive_float, action="append", required=True,
                         help="repeatable")
-        sp.add_argument("--order", type=int, default=casimir.DEFAULT_ORDER)
+        sp.add_argument("--order", type=_positive_int, default=casimir.DEFAULT_ORDER)
         add_common(sp)
 
     sp = sub.add_parser("critical", help="critical-point closed forms")
-    sp.add_argument("--rho", type=_finite_float, action="append", required=True)
-    sp.add_argument("--order", type=int, default=casimir.DEFAULT_ORDER)
+    sp.add_argument("--rho", type=_positive_float, action="append", required=True)
+    sp.add_argument("--order", type=_positive_int, default=casimir.DEFAULT_ORDER)
     add_common(sp)
 
     sp = sub.add_parser("constants", help="named constants table")
@@ -197,8 +211,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("effspin-check", help="effective-spin equivalence check")
     sp.add_argument("--x", type=_finite_float, required=True)
-    sp.add_argument("--rho", type=_finite_float, required=True)
-    sp.add_argument("--n", type=int, default=8)
+    sp.add_argument("--rho", type=_positive_float, required=True)
+    sp.add_argument("--n", type=_positive_int, default=8)
     add_common(sp)
 
     return parser

@@ -33,7 +33,6 @@ _MAX_SPINS = 24
 class EffectiveModel:
     """Couplings and moments of the truncated effective model."""
 
-    x: float
     n_spins: int
     couplings: np.ndarray  # symmetric (n, n), zero diagonal; [mu-1, nu-1]
     moments: np.ndarray  # Gamma_mu, shape (n,)
@@ -53,7 +52,7 @@ def build_model(x: float, n_spins: int) -> EffectiveModel:
         for j in range(i + 1, n_spins):
             val = -sig[i] * sig[j] * math.log(vs[i] * vs[j] / (phi[i] - phi[j]) ** 2)
             k[i, j] = k[j, i] = val
-    return EffectiveModel(x=x, n_spins=n_spins, couplings=k,
+    return EffectiveModel(n_spins=n_spins, couplings=k,
                           moments=np.array([z.gamma for z in zs]), parities=sig)
 
 

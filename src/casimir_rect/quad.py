@@ -1,10 +1,11 @@
 """Adaptive one-dimensional quadrature on a 15-point Gauss-Kronrod rule.
 
-Three entry points cover the integrals needed elsewhere in the package:
+Four entry points cover the integrals needed elsewhere in the package:
 finite intervals with globally adaptive bisection, semi-infinite integrals
-of exponentially decaying integrands via an explicit truncation point, and
+of exponentially decaying integrands via an explicit truncation point,
 semi-infinite integrals whose inverse-square-root endpoint singularity has
-already been removed by a substitution in the caller.
+already been removed by a substitution in the caller, and finite intervals
+mapped through w = c sinh(u) to resolve a feature of width c at w = 0.
 
 Every integrand takes a 1-D ndarray of nodes and returns an ndarray of
 the same shape; a callable that only accepts scalars raises on its first
@@ -24,6 +25,7 @@ __all__ = [
     "QuadratureError",
     "integrate_finite",
     "integrate_semi_infinite",
+    "integrate_sinh_map",
     "integrate_sqrt_singularity",
 ]
 
@@ -178,3 +180,17 @@ def integrate_sqrt_singularity(g, x_abs: float, spec: QuadratureSpec = DEFAULT_S
         raise ValueError("x_abs must be >= 0")
     T = _truncation_point(g, x_abs, spec)
     return integrate_finite(g, 0.0, T, spec)
+
+
+def integrate_sinh_map(f, scale: float, upper: float,
+                       spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+    """Integrate f over [0, upper] through the substitution w = scale*sinh(u).
+
+    Nodes crowd into the layer w < scale, so an endpoint feature of that
+    width (a log singularity, a narrow spike) becomes O(1) in u.
+    """
+
+    def transformed(u: np.ndarray) -> np.ndarray:
+        return f(scale * np.sinh(u)) * scale * np.cosh(u)
+
+    return integrate_finite(transformed, 0.0, math.asinh(upper / scale), spec)

@@ -26,8 +26,8 @@ __all__ = [
     "eval_char_poly",
     "find_zero",
     "find_zeros",
+    "solve_bracket",
     "zero_series_approx",
-    "gamma_of",
 ]
 
 
@@ -82,14 +82,22 @@ def _char_and_deriv(f: float, x: float) -> tuple[float, float]:
     return p, dp
 
 
-def _solve_bracket(func, lo: float, hi: float, tol: float, what: str) -> float:
-    """Safeguarded Newton within [lo, hi]; func(z) = (f, f') and f changes sign."""
-    flo, fhi = func(lo)[0], func(hi)[0]
+def solve_bracket(func, lo: float, hi: float, tol: float, what: str) -> float:
+    """Safeguarded Newton within [lo, hi]; func(z) = (f, f') and f changes sign.
+
+    f' = 0 steps by bisection.  Without a sign change an end whose residual
+    is within tol, or within what one ulp of the end moves f, is taken:
+    rounding can flip the residual's sign at a zero that close to an end.
+    """
+    (flo, dlo), (fhi, dhi) = func(lo), func(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
     if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
+        end, f_end, d_end = min((lo, flo, dlo), (hi, fhi, dhi), key=lambda e: abs(e[1]))
+        if abs(f_end) <= max(tol, abs(d_end) * math.ulp(end)):
+            return end
         raise RootFindError(f"no sign change on bracket [{lo}, {hi}] for {what}")
     z = 0.5 * (lo + hi)
     for _ in range(200):
@@ -125,7 +133,7 @@ def _find_zero_imag(x: float, tol: float) -> ZeroRecord:
 
     lo = 1e-12
     hi = -x
-    y = _solve_bracket(g, lo, hi, tol * max(1.0, -x), f"imaginary zero at x={x}")
+    y = solve_bracket(g, lo, hi, tol * max(1.0, -x), f"imaginary zero at x={x}")
     # gamma = sqrt(x^2 - y^2) = y/sinh(y) from the dispersion relation;
     # the direct difference cancels catastrophically for large |x|.
     gamma = y / math.sinh(y) if y < 350.0 else 2.0 * y * math.exp(-y)
@@ -164,8 +172,8 @@ def find_zero(mu: int, x: float, tol: float = 1e-14) -> ZeroRecord:
     if lo == 0.0:
         lo = 1e-12
 
-    f = _solve_bracket(lambda f: _char_and_deriv(f, x), lo, hi, tol,
-                       f"zero mu={mu} at x={x}")
+    f = solve_bracket(lambda f: _char_and_deriv(f, x), lo, hi, tol,
+                      f"zero mu={mu} at x={x}")
     phi_sq = f * f
     gamma = math.sqrt(x * x + phi_sq)
     return ZeroRecord(mu=mu, sigma=sigma, phi_sq=phi_sq, gamma=gamma)
@@ -186,14 +194,6 @@ def find_zeros(count: int, x: float, tol: float = 1e-14) -> list[ZeroRecord]:
         if not a.phi_sq < b.phi_sq:
             raise RootFindError(f"zero ordering violated between mu={a.mu} and mu={b.mu}")
     return records
-
-
-def gamma_of(zero: ZeroRecord, x: float) -> float:
-    """Decay rate gamma = sqrt(x^2 + phi_sq) of a given zero."""
-    radicand = x * x + zero.phi_sq
-    if radicand < 0.0:
-        raise ValueError("negative radicand: record is not a zero for this x")
-    return math.sqrt(radicand)
 
 
 # -- asymptotic series ------------------------------------------------------

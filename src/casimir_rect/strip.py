@@ -43,15 +43,7 @@ def decay_factor(w: np.ndarray, x: float) -> np.ndarray:
 def _strip_integral(x: float, integrand) -> float:
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
-    scale = max(1.0, abs(x))
-    w_max = abs(x) + 27.0
-    u_max = math.asinh(w_max / scale)
-
-    def transformed(u: np.ndarray) -> np.ndarray:
-        w = scale * np.sinh(u)
-        return integrand(w) * scale * np.cosh(u)
-
-    return quad.integrate_finite(transformed, 0.0, u_max, STRIP_SPEC)
+    return quad.integrate_sinh_map(integrand, max(1.0, abs(x)), abs(x) + 27.0, STRIP_SPEC)
 
 
 def theta_oo(x: float) -> float:

@@ -34,7 +34,6 @@ Z_CRITICAL = math.sqrt(2.0) - 1.0
 class ExpansionResult:
     """Evaluated truncated expansion with its labeled contributions."""
 
-    tau: float
     value: float
     terms: dict[str, float]
 
@@ -48,7 +47,7 @@ def corner_free_energy(tau: float) -> ExpansionResult:
         "constant": -2.0 / math.pi * catalan_constant() + 9.0 / 16.0 * math.log(2.0),
         "jump": 0.75 * math.log(2.0) * math.copysign(1.0, tau),
     }
-    return ExpansionResult(tau=tau, value=math.fsum(terms.values()), terms=terms)
+    return ExpansionResult(value=math.fsum(terms.values()), terms=terms)
 
 
 def surface_free_energy(tau: float) -> ExpansionResult:
@@ -58,7 +57,7 @@ def surface_free_energy(tau: float) -> ExpansionResult:
         terms["abs_linear"] = 0.5 * abs(tau)
         terms["linear"] = (0.25 - 1.5 * math.log(2.0) / math.pi
                            + (math.log(abs(tau)) - 1.0) / math.pi) * tau
-    return ExpansionResult(tau=tau, value=math.fsum(terms.values()), terms=terms)
+    return ExpansionResult(value=math.fsum(terms.values()), terms=terms)
 
 
 def surface_critical_value() -> float:

@@ -103,14 +103,7 @@ def _exponent_integral(x: float, log_factor) -> float:
     if x >= -1.0:
         return quad.integrate_sqrt_singularity(integrand, abs(x), WEIGHT_SPEC)
     c = roots.zero_cached(1, x).gamma
-    s_max = -x + 45.0
-    v_max = math.asinh(s_max / c)
-
-    def transformed(v: np.ndarray) -> np.ndarray:
-        s = c * np.sinh(v)
-        return integrand(s) * c * np.cosh(v)
-
-    return quad.integrate_finite(transformed, 0.0, v_max, WEIGHT_SPEC)
+    return quad.integrate_sinh_map(integrand, c, -x + 45.0, WEIGHT_SPEC)
 
 
 def _prefactor(zero: roots.ZeroRecord, x: float) -> float:

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casimir_rect import casimir, roots, sigma, strip
 from casimir_rect.casimir import (
@@ -219,6 +221,16 @@ class TestVarthetaTotal:
         d = (4.0 * (rho_theta(rho + h / 2) - rho_theta(rho - h / 2)) / h
              - (rho_theta(rho + h) - rho_theta(rho - h)) / (2.0 * h)) / 3.0
         assert vartheta_total(x, rho) == pytest.approx(-d, abs=1e-6)
+
+    @pytest.mark.parametrize("x", [1e-16, -1e-16, 3.4e-151, 5e-324, -5e-324])
+    def test_tiny_x_is_critical(self, x):
+        assert vartheta_total(x, 1.0) == pytest.approx(1.0 / 16.0, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(x=st.floats(-350.0, 1000.0), rho=st.floats(0.05, 50.0))
+    def test_finite_on_whole_plane(self, x, rho):
+        # x <= -355 overflows the weight prefactor and is not swept
+        assert math.isfinite(vartheta_total(x, rho))
 
     def test_x_dtheta_sc_finite_at_zero(self):
         # tends to -1/8, the corner log amplitude

@@ -200,9 +200,23 @@ class TestExitCodes:
         # exp overflow in the weight prefactor: a numerical failure
         (["vartheta-table", "--x-min", "-360", "--x-max", "-360", "--steps", "1",
           "--rho", "1"], 2),
+        # counts, orders and aspect ratios must be positive, even where no
+        # library call would check them (the x = 0 row of the potential)
+        (["weights", "--x", "1", "--count", "0"], 1),
+        (["weights", "--x", "1", "--count", "-3"], 1),
+        (["theta-table", "--x-min", "0", "--x-max", "0", "--steps", "1", "--rho", "-1"], 1),
+        (["theta-table", "--x-min", "0", "--x-max", "0", "--steps", "1", "--rho", "1",
+          "--order", "0"], 1),
     ], ids=lambda v: "_".join(v) if isinstance(v, list) else None)
     def test_exit_code_without_traceback(self, capsys, argv, expected):
         assert cli.main(argv) == expected
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err
+
+    def test_tiny_nonzero_x_row(self, capsys):
+        argv = ["vartheta-table", "--x-min", "1e-20", "--x-max", "1e-20", "--steps", "1",
+                "--rho", "1"]
+        assert cli.main(argv) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert float(row[2]) == pytest.approx(1.0 / 16.0, abs=1e-12)

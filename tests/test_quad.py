@@ -11,6 +11,7 @@ from casimir_rect.quad import (
     QuadratureSpec,
     integrate_finite,
     integrate_semi_infinite,
+    integrate_sinh_map,
     integrate_sqrt_singularity,
 )
 
@@ -57,6 +58,13 @@ def test_scalar_only_integrand_rejected():
         integrate_finite(lambda t: math.exp(-t), 0.0, 5.0)
     with pytest.raises(ValueError):
         integrate_finite(lambda t: 1.0, 0.0, 5.0)
+
+
+@pytest.mark.parametrize("scale", [0.01, 1.0, 10.0])
+def test_sinh_map_exp(scale):
+    upper = 30.0
+    got = integrate_sinh_map(lambda w: np.exp(-w), scale, upper)
+    assert got == pytest.approx(-math.expm1(-upper), abs=1e-14)
 
 
 @pytest.mark.parametrize("rel", [1e-6, 1e-9, 1e-12])

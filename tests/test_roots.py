@@ -8,7 +8,6 @@ from casimir_rect.roots import (
     eval_char_poly,
     find_zero,
     find_zeros,
-    gamma_of,
     zero_series_approx,
 )
 
@@ -107,18 +106,19 @@ def test_continuity_slope_at_degeneracy():
 
 
 def test_gamma_of_values():
-    assert gamma_of(find_zero(1, -1.0), -1.0) == 1.0
-    z2 = find_zero(2, -1.0)
+    assert find_zero(1, -1.0).gamma == 1.0
     # 2*pi*0.89179907560 - 1 from the exponent table at x = -1
-    assert gamma_of(z2, -1.0) == pytest.approx(2.0 * PI * 0.89179907560 - 1.0, abs=1e-9)
-    z1 = find_zero(1, 0.0)
-    assert gamma_of(z1, 0.0) == PI / 2.0
+    assert find_zero(2, -1.0).gamma == pytest.approx(2.0 * PI * 0.89179907560 - 1.0, abs=1e-9)
+    assert find_zero(1, 0.0).gamma == PI / 2.0
 
 
-def test_gamma_of_rejects_inconsistent():
-    z = find_zero(1, -4.0)  # phi_sq ~ -15.98
-    with pytest.raises(ValueError):
-        gamma_of(z, 0.5)
+@pytest.mark.parametrize("x", [1e-16, -1e-16, 1e-300, -1e-300])
+def test_tiny_x_zero_at_bracket_end(x):
+    # the zero sits within rounding of (mu - 1/2) pi, where the float
+    # residual can have the wrong sign
+    for mu in range(1, 201):
+        f0 = (mu - 0.5) * PI
+        assert find_zero(mu, x).phi_sq == pytest.approx(f0 * f0, rel=1e-13)
 
 
 def test_series_approx_low_order():
