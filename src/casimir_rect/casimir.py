@@ -24,11 +24,16 @@ strip force function and the combination x*theta_sc'(x), which stays finite
 at x = 0 (it tends to -1/8, the corner log amplitude).  At the critical
 point the force changes sign at the aspect ratio where the weight-two
 Eisenstein series vanishes on the imaginary axis.
+
+theta_column(x, rhos) and vartheta_column(x, rhos) evaluate one x across
+many aspect ratios: theta_oo(x) is computed once and only the series term
+depends on rho.  theta_total and vartheta_total are their one-rho case.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,7 +55,9 @@ __all__ = [
     "theta_sc",
     "x_dtheta_sc",
     "theta_total",
+    "theta_column",
     "vartheta_total",
+    "vartheta_column",
     "casimir_amplitude",
     "find_rho0",
     "lattice_to_scaling",
@@ -91,6 +98,11 @@ class ScalingPoint:
 def _require_finite(*values: float) -> None:
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"arguments must be finite, got {values}")
+
+
+def _require_positive(rhos: Sequence[float]) -> None:
+    if not all(rho > 0.0 for rho in rhos):
+        raise ValueError("rho must be positive")
 
 
 def integral_I1(x_vol: float) -> float:
@@ -226,14 +238,23 @@ def theta_total(x: float, rho: float, N: int = DEFAULT_ORDER) -> float:
     finite critical quantity is casimir_amplitude.  For rho < 1 the
     exchange symmetry theta(x, rho) = rho^-2 theta(x rho, 1/rho) is used.
     """
-    _require_finite(x, rho)
+    return theta_column(x, (rho,), N)[0]
+
+
+def theta_column(x: float, rhos: Sequence[float], N: int = DEFAULT_ORDER) -> list[float]:
+    """theta_total(x, rho) for each rho, with theta_oo(x) evaluated once.
+
+    The strip part is computed only when some rho >= 1 needs it; rho < 1
+    goes through the exchange symmetry at each rho.
+    """
+    _require_finite(x, *rhos)
     if x == 0.0:
         raise ValueError("divergent at x = 0; see casimir_amplitude")
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    if rho < 1.0:
-        return theta_total(x * rho, 1.0 / rho, N) / (rho * rho)
-    return strip.theta_oo(x) + theta_sc(x, N) / rho + sigma.Psi(x, rho, N)
+    _require_positive(rhos)
+    oo = strip.theta_oo(x) if any(rho >= 1.0 for rho in rhos) else None
+    return [oo + theta_sc(x, N) / rho + sigma.Psi(x, rho, N) if rho >= 1.0
+            else theta_total(x * rho, 1.0 / rho, N) / (rho * rho)
+            for rho in rhos]
 
 
 def vartheta_total(x: float, rho: float, N: int = DEFAULT_ORDER) -> float:
@@ -247,11 +268,25 @@ def vartheta_total(x: float, rho: float, N: int = DEFAULT_ORDER) -> float:
                                 - u dPsi/dx(u, 1/rho) - psi(u, 1/rho) ],
     with u = x rho.  Both branches agree identically at rho = 1.
     """
-    _require_finite(x, rho)
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    if rho >= 1.0:
-        return -strip.theta_oo(x) + sigma.psi_strip(x, rho, N)
+    return vartheta_column(x, (rho,), N)[0]
+
+
+def vartheta_column(x: float, rhos: Sequence[float],
+                    N: int = DEFAULT_ORDER) -> list[float]:
+    """vartheta_total(x, rho) for each rho, with theta_oo(x) evaluated once.
+
+    The strip part is computed only when some rho >= 1 needs it; only the
+    series term psi(x, rho) is evaluated per rho there.
+    """
+    _require_finite(x, *rhos)
+    _require_positive(rhos)
+    oo = strip.theta_oo(x) if any(rho >= 1.0 for rho in rhos) else None
+    return [-oo + sigma.psi_strip(x, rho, N) if rho >= 1.0
+            else _vartheta_exchanged(x, rho, N)
+            for rho in rhos]
+
+
+def _vartheta_exchanged(x: float, rho: float, N: int) -> float:
     u = x * rho
     w = 1.0 / rho
     val = strip.vartheta_oo(u) - rho * x_dtheta_sc(u, N) - sigma.psi_strip(u, w, N)

@@ -63,22 +63,25 @@ def _cmd_sigma(p: dict) -> FunctionTable:
 
 def _cmd_theta_table(p: dict) -> FunctionTable:
     xs = _x_grid(p)
+    columns = [None if x == 0.0 else casimir.theta_column(x, p["rho"], p["order"])
+               for x in xs]
     table = FunctionTable(["x", "rho", "theta_total", "note"])
-    for rho in p["rho"]:
-        for x in xs:
-            if x == 0.0:
+    for i, rho in enumerate(p["rho"]):
+        for x, column in zip(xs, columns):
+            if column is None:
                 table.add_row(x, rho, None, "divergent")
             else:
-                table.add_row(x, rho, casimir.theta_total(x, rho, p["order"]), "")
+                table.add_row(x, rho, column[i], "")
     return table
 
 
 def _cmd_vartheta_table(p: dict) -> FunctionTable:
     xs = _x_grid(p)
+    columns = [casimir.vartheta_column(x, p["rho"], p["order"]) for x in xs]
     table = FunctionTable(["x", "rho", "vartheta"])
-    for rho in p["rho"]:
-        for x in xs:
-            table.add_row(x, rho, casimir.vartheta_total(x, rho, p["order"]))
+    for i, rho in enumerate(p["rho"]):
+        for x, column in zip(xs, columns):
+            table.add_row(x, rho, column[i])
     return table
 
 

@@ -232,6 +232,14 @@ class TestVarthetaTotal:
         # x <= -355 overflows the weight prefactor and is not swept
         assert math.isfinite(vartheta_total(x, rho))
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(x=st.floats(-350.0, 1000.0))
+    def test_branches_agree_across_rho1(self, x):
+        # rho = 1 takes the strip branch, the next float below it the exchange
+        # branch; the finite differences in _dPsi_dx leave ~1e-10 relative
+        below = vartheta_total(x, 1.0 - 1e-15)
+        assert vartheta_total(x, 1.0) == pytest.approx(below, rel=1e-8, abs=1e-300)
+
     def test_x_dtheta_sc_finite_at_zero(self):
         # tends to -1/8, the corner log amplitude
         assert x_dtheta_sc(0.0) == pytest.approx(-0.125, abs=1e-9)

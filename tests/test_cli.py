@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from casimir_rect import cli
+from casimir_rect import casimir, cli, strip
 from casimir_rect.quad import QuadratureError
 from casimir_rect.tables import FunctionTable, render_csv, render_json, render_value
 
@@ -122,6 +122,55 @@ class TestCommands:
         rows = dict(line.split(",") for line in out.strip().split("\n")[1:])
         assert float(rows["v1_x_neg1"]) == pytest.approx(6.39303337215, abs=1e-10)
         assert float(rows["rho_0"]) == pytest.approx(0.523521700018, abs=1e-12)
+
+
+class TestGridColumns:
+    """The grid commands evaluate x-outer but print the point functions' values."""
+
+    @staticmethod
+    def grid_argv(command, rhos):
+        argv = [command, "--x-min", "-2", "--x-max", "2", "--steps", "3"]
+        for rho in rhos:
+            argv += ["--rho", repr(rho)]
+        return argv
+
+    @staticmethod
+    def expected_csv(header, rows):
+        return "\n".join([header] + [",".join(render_value(v) for v in row)
+                                      for row in rows]) + "\n"
+
+    def test_vartheta_rows_equal_point_values(self, capsys):
+        rhos = (0.7, 1.0, 2.0)
+        code, out = run_cli(capsys, self.grid_argv("vartheta-table", rhos))
+        assert code == 0
+        rows = [(x, rho, casimir.vartheta_total(x, rho))
+                for rho in rhos for x in (-2.0, 0.0, 2.0)]
+        assert out == self.expected_csv("x,rho,vartheta", rows)
+
+    def test_theta_rows_equal_point_values(self, capsys):
+        rhos = (0.5, 1.0, 2.0)
+        code, out = run_cli(capsys, self.grid_argv("theta-table", rhos))
+        assert code == 0
+        rows = [(x, rho, None, "divergent") if x == 0.0
+                else (x, rho, casimir.theta_total(x, rho), "")
+                for rho in rhos for x in (-2.0, 0.0, 2.0)]
+        assert out == self.expected_csv("x,rho,theta_total,note", rows)
+
+    def test_one_theta_oo_per_distinct_x(self, capsys, monkeypatch):
+        calls = []
+        theta_oo = strip.theta_oo
+
+        def counting(x):
+            calls.append(x)
+            return theta_oo(x)
+
+        monkeypatch.setattr(strip, "theta_oo", counting)
+        argv = ["vartheta-table", "--x-min", "-1", "--x-max", "1", "--steps", "3"]
+        for rho in (1.0, 1.5, 2.0, 3.0, 4.0):
+            argv += ["--rho", repr(rho)]
+        code, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert calls == [-1.0, 0.0, 1.0]
 
 
 class TestDeterminismAndFormats:
