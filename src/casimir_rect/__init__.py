@@ -71,10 +71,8 @@ from .thermo_constants import (
 from .weights import (
     WeightRecord,
     counting_integrand,
-    oracle_product_p,
     weight,
     weight_v,
     weight_v_closed_x0,
     weight_v_special_xneg1,
-    weight_w_generating_check,
 )

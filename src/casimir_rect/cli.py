@@ -45,8 +45,7 @@ def _cmd_zeros(p: dict) -> FunctionTable:
 
 def _cmd_weights(p: dict) -> FunctionTable:
     table = FunctionTable(["mu", "v", "method"])
-    for mu in range(1, p["count"] + 1):
-        rec = weights.weight(mu, p["x"])
+    for rec in weights.weight(range(1, p["count"] + 1), p["x"]):
         table.add_row(rec.mu, rec.v, rec.method)
     return table
 

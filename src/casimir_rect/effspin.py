@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from . import roots
-from .weights import weight_cached
+from .weights import batch_size, weight_cached
 
 __all__ = ["EffectiveModel", "build_model", "enumerate_partition",
            "magnetization", "matched_series"]
@@ -44,7 +44,7 @@ def build_model(x: float, n_spins: int) -> EffectiveModel:
     if n_spins < 2:
         raise ValueError("n_spins must be >= 2")
     zs = [roots.zero_cached(mu, x) for mu in range(1, n_spins + 1)]
-    vs = np.array([weight_cached(mu, x) for mu in range(1, n_spins + 1)])
+    vs = np.array(weight_cached(x, batch_size(n_spins))[:n_spins])
     phi = np.array([z.phi_sq for z in zs])
     sig = np.array([z.sigma for z in zs])
     k = np.zeros((n_spins, n_spins))

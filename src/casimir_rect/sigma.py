@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import roots
-from .weights import weight_cached
+from .weights import batch_size, weight_cached
 
 __all__ = [
     "SubsetTerm",
@@ -99,13 +99,14 @@ def amplitude(s, x: float) -> SubsetTerm:
     if not _balanced(ss):
         raise ValueError("index set must balance odd and even elements")
     zs = [roots.zero_cached(m, x) for m in ss]
+    vs = weight_cached(x, batch_size(ss[-1])) if ss else ()
     a = 1.0
     for i, zi in enumerate(zs):
         for zj in zs[i + 1:]:
             d = zi.phi_sq - zj.phi_sq
             a *= d ** (2 * zi.sigma * zj.sigma)
     for m in ss:
-        a *= weight_cached(m, x)
+        a *= vs[m - 1]
     return SubsetTerm(a=a, gamma_sum=math.fsum(z.gamma for z in zs))
 
 
@@ -144,8 +145,9 @@ def _det_value(x: float, rho: float, modes: int) -> float:
     odd = [roots.zero_cached(2 * k - 1, x) for k in range(1, modes + 1)]
     phi_e = np.array([z.phi_sq for z in even])
     phi_o = np.array([z.phi_sq for z in odd])
-    we = np.array([weight_cached(z.mu, x) * math.exp(-rho * z.gamma) for z in even])
-    wo = np.array([weight_cached(z.mu, x) * math.exp(-rho * z.gamma) for z in odd])
+    vs = weight_cached(x, batch_size(2 * modes))
+    we = np.array([vs[z.mu - 1] * math.exp(-rho * z.gamma) for z in even])
+    wo = np.array([vs[z.mu - 1] * math.exp(-rho * z.gamma) for z in odd])
     t_eo = 1.0 / (phi_o[None, :] - phi_e[:, None])
     t_oe = 1.0 / (phi_e[None, :] - phi_o[:, None])
     y = -(we[:, None] * t_eo) @ (wo[:, None] * t_oe)

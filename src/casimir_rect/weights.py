@@ -18,8 +18,16 @@ constant imaginary part integrates, through the counting-kernel identity
 all arithmetic real.
 
 Closed forms are available at x = 0 through the Euler beta function, and at
-x = -1 where the first zero degenerates.  A brute-force regularized-product
-oracle over the raw zeroes validates parity-balanced weight combinations.
+x = -1 where the first zero degenerates.
+
+The kernel does not depend on the mode; only the log factor does.  So the
+weights of many modes at one x run as one lockstep quadrature
+(quad.integrate_lockstep): every mode keeps its own adaptive panels, and
+each bisection round evaluates the new panels of all modes in one
+integrand call, with the log factor broadcast per row.  The panel sums are
+per-row dot products, so each weight is bit-identical to the weight of its
+mode computed alone.  weight_cached holds v_1..v_n per x in whole blocks of
+MODE_BLOCK modes.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -41,8 +50,7 @@ __all__ = [
     "weight_v_special_xneg1",
     "weight_v_closed_x0",
     "weight",
-    "weight_w_generating_check",
-    "oracle_product_p",
+    "batch_size",
     "weight_cached",
 ]
 
@@ -57,7 +65,7 @@ class WeightRecord:
 
     mu: int
     v: float
-    method: str  # contour | closed_form_x0 | special_x_neg1 | oracle_product
+    method: str  # contour | closed_form_x0 | special_x_neg1
 
 
 def counting_integrand(t, x: float):
@@ -88,22 +96,24 @@ def _kernel_sub(s: np.ndarray, x: float) -> np.ndarray:
     return (x - s * s) * sech / (t * d)
 
 
-def _exponent_integral(x: float, log_factor) -> float:
-    """Int_0^inf log_factor(s) * kernel(s) ds with x-dependent node placement.
+def _exponent_integrals(x: float, log_factor, count: int) -> list[float]:
+    """Int_0^inf log_factor(s, owners) * kernel(s) ds for count log factors at once.
 
-    For x < -1 the kernel develops a spike of width ~ 2|x| e^{-|x|} at the
-    origin (the scale of the first zero's decay rate); the substitution
-    s = c sinh(v) with c set to that scale makes it an O(1) feature that
-    the adaptive panels resolve at any x.
+    The kernel does not depend on the mode, so the count integrals share it
+    and advance in lockstep through one integrand call per round; node
+    placement depends on x only.  For x < -1 the kernel develops a spike of
+    width ~ 2|x| e^{-|x|} at the origin (the scale of the first zero's
+    decay rate); the substitution s = c sinh(v) with c set to that scale
+    makes it an O(1) feature that the adaptive panels resolve at any x.
     """
 
-    def integrand(s: np.ndarray) -> np.ndarray:
-        return log_factor(s) * _kernel_sub(s, x)
+    def integrand(s: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        return log_factor(s, owners) * _kernel_sub(s, x)
 
     if x >= -1.0:
-        return quad.integrate_sqrt_singularity(integrand, abs(x), WEIGHT_SPEC)
+        return quad.integrate_sqrt_singularity_lockstep(integrand, abs(x), count, WEIGHT_SPEC)
     c = roots.zero_cached(1, x).gamma
-    return quad.integrate_sinh_map(integrand, c, -x + 45.0, WEIGHT_SPEC)
+    return quad.integrate_sinh_map_lockstep(integrand, c, -x + 45.0, count, WEIGHT_SPEC)
 
 
 def _prefactor(zero: roots.ZeroRecord, x: float) -> float:
@@ -111,35 +121,47 @@ def _prefactor(zero: roots.ZeroRecord, x: float) -> float:
     return 4.0 * (zero.gamma - x) * g2 / (g2 + x)
 
 
-def weight_v(mu: int, x: float) -> WeightRecord:
-    """Weight v_mu(x) by the contour-reduced integral route.
-
-    Not defined at (mu, x) = (1, -1), where the first zero degenerates;
-    use weight_v_special_xneg1 there.
-    """
-    if mu == 1 and x == -1.0:
+def _contour_weights(modes: tuple[int, ...], x: float) -> list[WeightRecord]:
+    if 1 in modes and x == -1.0:
         raise ValueError("degenerate point; use weight_v_special_xneg1")
-    zero = roots.zero_cached(mu, x)
-    if zero.phi_sq > 0.0:
-        phi_sq = zero.phi_sq
+    zeros = [roots.zero_cached(mu, x) for mu in modes]
+    # log factor log(1 + (x^2 + s^2)/phi^2) of a real zero; for the imaginary
+    # first zero |1 - t^2/y^2| = (gamma^2 + s^2)/y^2, and the constant i*pi
+    # branch reduces to an overall sign flip
+    imaginary = np.array([not z.phi_sq > 0.0 for z in zeros])
+    shift = np.array([z.gamma * z.gamma if im else x * x for z, im in zip(zeros, imaginary)])
+    scale = np.array([-z.phi_sq if im else z.phi_sq for z, im in zip(zeros, imaginary)])
 
-        def log_factor(s: np.ndarray) -> np.ndarray:
-            return np.log1p((x * x + s * s) / phi_sq)
+    def log_factor(s: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        ratio = (shift[owners] + s * s) / scale[owners]
+        if not imaginary.any():
+            return np.log1p(ratio)
+        im = imaginary[owners]
+        out = np.empty_like(ratio)
+        out[~im] = np.log1p(ratio[~im])
+        out[im] = np.log(ratio[im])
+        return out
 
-        sign = 1.0
-    else:
-        # imaginary first zero: |1 - t^2/y^2| = (gamma^2 + s^2)/y^2, and the
-        # constant i*pi branch reduces to an overall sign flip
-        y_sq = -zero.phi_sq
-        g_sq = zero.gamma * zero.gamma
+    records = []
+    for mu, zero, im, integral in zip(modes, zeros, imaginary,
+                                      _exponent_integrals(x, log_factor, len(modes))):
+        expo = zero.sigma / math.pi * integral
+        v = (-1.0 if im else 1.0) * _prefactor(zero, x) * math.exp(expo)
+        records.append(WeightRecord(mu=mu, v=v, method="contour"))
+    return records
 
-        def log_factor(s: np.ndarray) -> np.ndarray:
-            return np.log((g_sq + s * s) / y_sq)
 
-        sign = -1.0
-    expo = zero.sigma / math.pi * _exponent_integral(x, log_factor)
-    v = sign * _prefactor(zero, x) * math.exp(expo)
-    return WeightRecord(mu=mu, v=v, method="contour")
+def weight_v(mu, x: float):
+    """Weights v_mu(x) by the contour-reduced integral route.
+
+    mu is one mode, giving one WeightRecord, or a sequence of modes, giving
+    a list of records whose integrals run side by side; each value is
+    bit-identical to its mode's own.  Not defined at (mu, x) = (1, -1),
+    where the first zero degenerates; use weight_v_special_xneg1 there.
+    """
+    if isinstance(mu, Integral):
+        return _contour_weights((mu,), x)[0]
+    return _contour_weights(tuple(mu), x)
 
 
 def weight_v_special_xneg1() -> WeightRecord:
@@ -149,10 +171,10 @@ def weight_v_special_xneg1() -> WeightRecord:
     v_1 = 12 exp[(1/pi) Int_1^inf log(t^2) K(t) dt] = 6.39303337215...
     """
 
-    def log_factor(s: np.ndarray) -> np.ndarray:
+    def log_factor(s: np.ndarray, owners: np.ndarray) -> np.ndarray:
         return np.log(1.0 + s * s)  # log(t^2) with t^2 = 1 + s^2
 
-    expo = _exponent_integral(-1.0, log_factor) / math.pi
+    expo = _exponent_integrals(-1.0, log_factor, 1)[0] / math.pi
     return WeightRecord(mu=1, v=12.0 * math.exp(expo), method="special_x_neg1")
 
 
@@ -167,90 +189,42 @@ def weight_v_closed_x0(mu: int) -> WeightRecord:
     return WeightRecord(mu=mu, v=v, method="closed_form_x0")
 
 
-def weight(mu: int, x: float) -> WeightRecord:
-    """Weight v_mu(x), dispatched over the three routes.
+def weight(mu, x: float):
+    """Weights v_mu(x), dispatched per mode over the three routes.
 
     The closed form at x = 0, the special form for the first weight at
-    x = -1, and the contour integral everywhere else.
+    x = -1, and the contour integral everywhere else, where a sequence of
+    modes shares one weight_v call.  mu is one mode, giving one
+    WeightRecord, or a sequence of modes, giving a list of records.
     """
+    if isinstance(mu, Integral):
+        return weight((mu,), x)[0]
+    modes = tuple(mu)
     if x == 0.0:
-        return weight_v_closed_x0(mu)
-    if mu == 1 and x == -1.0:
-        return weight_v_special_xneg1()
-    return weight_v(mu, x)
+        return [weight_v_closed_x0(m) for m in modes]
+    special = x == -1.0
+    contour = [m for m in modes if not (special and m == 1)]
+    records = iter(weight_v(contour, x) if contour else ())
+    return [weight_v_special_xneg1() if special and m == 1 else next(records)
+            for m in modes]
+
+
+MODE_BLOCK = 16  # weights are computed and cached in whole blocks of modes
+
+
+def batch_size(m: int) -> int:
+    """Smallest whole number of mode blocks that covers modes 1..m."""
+    return MODE_BLOCK * -(-m // MODE_BLOCK)
 
 
 @lru_cache(maxsize=None)
-def weight_cached(mu: int, x: float) -> float:
-    """Memoized weight value used by the series/determinant/spin modules."""
-    return weight(mu, x).v
+def weight_cached(x: float, n: int) -> tuple[float, ...]:
+    """Memoized weights v_1..v_n(x), one batch per (x, n).
 
-
-def weight_w_generating_check(eta: float, n_terms: int) -> float:
-    """Consistency of sqrt-weights at x = 0 with their generating function.
-
-    The square roots w_mu = sqrt(v_mu(0)) have the closed generating
-    function (pi/sqrt(2)) (1-h)^(-3/2) (1+h)^(1/2); its Taylor coefficients
-    are compared with the closed-form weights, and the series evaluated at
-    eta is compared against the closed form.  Returns the maximum absolute
-    discrepancy found.
+    The series, determinant and spin modules read it with n = batch_size(m)
+    for their highest mode m, so they share one entry per x.  An entry
+    beyond MODE_BLOCK modes extends the cached entry of MODE_BLOCK fewer
+    modes, so no mode is computed twice at one x.
     """
-    if not abs(eta) < 1.0:
-        raise ValueError("eta must satisfy |eta| < 1")
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    # Taylor coefficients by convolving the two binomial series
-    n = max(n_terms, 8)
-    a = np.ones(n)  # (1-h)^(-3/2): a_k = a_{k-1} * (k+1/2)/k
-    for k in range(1, n):
-        a[k] = a[k - 1] * (k + 0.5) / k
-    b = np.zeros(n)  # (1+h)^(1/2)
-    b[0] = 1.0
-    for k in range(1, n):
-        b[k] = b[k - 1] * (0.5 - (k - 1)) / k
-    coeff = math.pi / math.sqrt(2.0) * np.convolve(a, b)[:n]
-    err = 0.0
-    for mu in range(1, n_terms + 1):
-        w_mu = math.sqrt(weight_v_closed_x0(mu).v)
-        err = max(err, abs(coeff[mu - 1] - w_mu))
-    series_val = float(np.polyval(coeff[:n_terms][::-1], eta))
-    closed_val = math.pi / math.sqrt(2.0) / (1.0 - eta) * math.sqrt((1.0 + eta) / (1.0 - eta))
-    tail = abs(coeff[n_terms - 1] * eta ** (n_terms - 1)) / max(1e-30, 1.0 - abs(eta))
-    err = max(err, max(0.0, abs(series_val - closed_val) - 2.0 * tail))
-    return err
-
-
-def oracle_product_p(mu: int, x: float, n_zeros: int) -> float:
-    """Brute-force regularized product p_mu over the first n_zeros zeroes.
-
-    p_mu = F_mu^2 prod'_{nu != mu} (1 - F_mu^2/F_nu^2)^(-sigma_mu sigma_nu),
-    with vanishing or divergent factors dropped.  Consecutive zeroes are
-    paired and the pair sums extrapolated once in the inverse square of the
-    pair count, which the alternating 1/nu^2 tail needs for ~1e-7 accuracy
-    around n_zeros = 400.  Only parity-balanced combinations of the result
-    are convention-free; see the tests.
-    """
-    if n_zeros < mu + 8:
-        raise ValueError("n_zeros too small for a meaningful truncation")
-    target = roots.zero_cached(mu, x)
-    sigma_mu = target.sigma
-
-    def log_sum(count: int) -> float:
-        total = 0.0
-        for nu in range(1, count + 1):
-            if nu == mu:
-                continue
-            z = roots.zero_cached(nu, x)
-            if z.phi_sq == 0.0:
-                continue  # regularization drops the divergent factor
-            factor = 1.0 - target.phi_sq / z.phi_sq
-            sigma_nu = z.sigma
-            total += -sigma_mu * sigma_nu * math.log(abs(factor))
-        return total
-
-    pairs = n_zeros // 2
-    s_full = log_sum(2 * pairs)
-    s_half = log_sum(2 * (pairs // 2))
-    s_extrap = (4.0 * s_full - s_half) / 3.0
-    magnitude = abs(target.phi_sq) * math.exp(s_extrap)
-    return sigma_mu * magnitude
+    head = weight_cached(x, n - MODE_BLOCK) if n > MODE_BLOCK else ()
+    return head + tuple(rec.v for rec in weight(range(len(head) + 1, n + 1), x))

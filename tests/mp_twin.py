@@ -22,7 +22,8 @@ def routes(x: float, rho: float, n: int, dps: int = 60):
     with mp.workdps(dps):
         idx = range(1, 2 * n + 1)
         recs = {m: roots.zero_cached(m, x) for m in idx}
-        vs = {m: mp.mpf(weights.weight_cached(m, x)) for m in idx}
+        batch = weights.weight_cached(x, weights.batch_size(2 * n))
+        vs = {m: mp.mpf(batch[m - 1]) for m in idx}
         phi = {m: mp.mpf(recs[m].phi_sq) for m in idx}
         gam = {m: mp.mpf(recs[m].gamma) for m in idx}
         r = mp.mpf(rho)

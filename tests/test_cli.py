@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from casimir_rect import casimir, cli, strip
+from casimir_rect import casimir, cli, strip, weights
 from casimir_rect.quad import QuadratureError
 from casimir_rect.tables import FunctionTable, render_csv, render_json, render_value
 
@@ -80,6 +80,23 @@ class TestCommands:
         rows = out.strip().split("\n")[1:]
         assert float(rows[0].split(",")[1]) == pytest.approx(math.pi**2 / 2.0)
         assert rows[0].split(",")[2] == "closed_form_x0"
+
+    def test_weights_table_from_one_batch(self, capsys, monkeypatch):
+        calls = []
+        weight_v = weights.weight_v
+
+        def counting(mu, x):
+            calls.append((tuple(mu), x))
+            return weight_v(mu, x)
+
+        monkeypatch.setattr(weights, "weight_v", counting)
+        code, out = run_cli(capsys, ["weights", "--x", "-1", "--count", "8"])
+        assert code == 0
+        assert calls == [(tuple(range(2, 9)), -1.0)]
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert rows[0][2] == "special_x_neg1"
+        for mu, row in zip(range(2, 9), rows[1:]):
+            assert float(row[1]) == weight_v(mu, -1.0).v and row[2] == "contour"
 
     def test_vartheta_table(self, capsys):
         code, out = run_cli(capsys, ["vartheta-table", "--x-min", "-1", "--x-max", "1",
@@ -249,6 +266,7 @@ class TestExitCodes:
         # exp overflow in the weight prefactor: a numerical failure
         (["vartheta-table", "--x-min", "-360", "--x-max", "-360", "--steps", "1",
           "--rho", "1"], 2),
+        (["weights", "--x", "-360", "--count", "4"], 2),
         # counts, orders and aspect ratios must be positive, even where no
         # library call would check them (the x = 0 row of the potential)
         (["weights", "--x", "1", "--count", "0"], 1),

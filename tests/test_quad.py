@@ -96,3 +96,59 @@ def test_depth_exhaustion_reports_panel(monkeypatch):
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)
+
+
+LOCKSTEP_CASES = [
+    (np.sin, 0.0, math.pi),
+    (lambda t: np.log1p(np.exp(-t)) / (1.0 + t * t), 0.0, 30.0),
+    (lambda t: np.sqrt(t), 0.0, 2.0),
+    (lambda t: np.exp(-t), 1.0, 1.0),
+    (lambda t: 1.0 / (1e-3 + t * t), -1.0, 3.0),
+]
+
+
+def _stacked(cases):
+    """The cases' integrands as one lockstep integrand f(nodes, owners)."""
+
+    def f(nodes, owners):
+        out = np.empty_like(nodes)
+        for i, (g, _, _) in enumerate(cases):
+            mine = owners == i
+            out[mine] = g(nodes[mine])
+        return out
+
+    return f
+
+
+def test_lockstep_equals_separate_integrals_bit_for_bit():
+    got = quad.integrate_lockstep(_stacked(LOCKSTEP_CASES), [c[1] for c in LOCKSTEP_CASES],
+                                  [c[2] for c in LOCKSTEP_CASES])
+    assert got == [integrate_finite(g, a, b) for g, a, b in LOCKSTEP_CASES]
+
+
+def test_lockstep_forms_equal_single_entry_points_bit_for_bit():
+    gs = [lambda s: np.exp(-s) / (1.0 + s), lambda s: s * np.exp(-2.0 * s)]
+    f = _stacked([(g, None, None) for g in gs])
+    assert (quad.integrate_sqrt_singularity_lockstep(f, 0.5, 2)
+            == [integrate_sqrt_singularity(g, 0.5) for g in gs])
+    assert (quad.integrate_sinh_map_lockstep(f, 0.01, 30.0, 2)
+            == [integrate_sinh_map(g, 0.01, 30.0) for g in gs])
+
+
+def test_lockstep_depth_exhaustion_reports_panel(monkeypatch):
+    monkeypatch.setattr(quad, "_MAX_DEPTH", 3)
+    spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
+    cases = [(np.sin, 0.0, 1.0), (lambda t: np.sqrt(np.abs(t)), 0.0, 1.0)]
+    with pytest.raises(QuadratureError, match=r"depth exhausted on panel \[0.0, 0.125\]"):
+        quad.integrate_lockstep(_stacked(cases), [0.0, 0.0], [1.0, 1.0], spec)
+
+
+def test_lockstep_non_finite_row_reports_panel():
+    cases = [(np.sin, 0.0, 1.0), (lambda t: np.where(t > 3.0, np.inf, t), 0.0, 4.0)]
+    with pytest.raises(QuadratureError, match=r"non-finite integrand value in panel \[0.0, 4.0\]"):
+        quad.integrate_lockstep(_stacked(cases), [0.0, 0.0], [1.0, 4.0])
+
+
+def test_lockstep_rejects_reversed_bounds():
+    with pytest.raises(ValueError):
+        quad.integrate_lockstep(_stacked(LOCKSTEP_CASES[:2]), [0.0, 1.0], [1.0, 0.0])

@@ -1,20 +1,20 @@
-"""Weight tests: counting-kernel identity, closed forms, product oracle."""
+"""Weight tests: counting-kernel identity, closed forms, batches, product oracle."""
 
 import math
 
 import numpy as np
 import pytest
 
-from casimir_rect import roots
+from casimir_rect import roots, sigma, weights
 from casimir_rect.quad import QuadratureSpec, integrate_sqrt_singularity
 from casimir_rect.weights import (
     counting_integrand,
-    oracle_product_p,
+    weight,
     weight_v,
     weight_v_closed_x0,
     weight_v_special_xneg1,
-    weight_w_generating_check,
 )
+from weight_oracles import oracle_product_p, weight_w_generating_check
 
 PI = math.pi
 
@@ -116,6 +116,67 @@ class TestPositivityAndSmoothness:
         ref = weight_v_special_xneg1().v
         gaps = [abs(s - ref) for s in seq]
         assert gaps[0] > gaps[1] > gaps[2]
+
+
+BATCH_XS = [0.37, 2.5, 15.0, 300.0, -0.6, -0.999, -1.0001, -1.5, -4.0, -12.0, -20.0,
+            -300.0, 1e-16, -1e-16]
+
+
+class TestBatch:
+    @pytest.mark.parametrize("x", BATCH_XS)
+    def test_batch_equals_single_modes_bit_for_bit(self, x):
+        batch = weight_v(range(1, 17), x)
+        assert batch == [weight_v(mu, x) for mu in range(1, 17)]
+
+    def test_int_mode_gives_one_record(self):
+        rec = weight_v(4, 0.5)
+        assert isinstance(rec, weights.WeightRecord) and rec.mu == 4
+        assert weight_v([4], 0.5) == [rec]
+
+    def test_routes_kept_per_mode_at_x0(self):
+        recs = weight(range(1, 9), 0.0)
+        assert recs == [weight_v_closed_x0(mu) for mu in range(1, 9)]
+        assert {r.method for r in recs} == {"closed_form_x0"}
+
+    def test_routes_kept_per_mode_at_x_neg1(self):
+        recs = weight(range(1, 9), -1.0)
+        assert recs[0] == weight_v_special_xneg1()
+        assert recs[1:] == [weight_v(mu, -1.0) for mu in range(2, 9)]
+        assert [r.method for r in recs] == ["special_x_neg1"] + ["contour"] * 7
+
+    def test_degenerate_point_rejected_in_batch(self):
+        with pytest.raises(ValueError):
+            weight_v(range(1, 5), -1.0)
+
+    def test_cache_holds_one_batch_per_x_for_default_order(self):
+        x = 0.8125
+        weights.weight_cached.cache_clear()
+        sigma._terms_up_to.cache_clear()
+        sigma.psi_strip(x, 1.0, 8)
+        sigma.sigma_det(x, 1.0, 8)
+        assert weights.weight_cached.cache_info().currsize == 1
+        assert weights.weight_cached(x, 16) == tuple(r.v for r in weight_v(range(1, 17), x))
+
+    def test_larger_batch_extends_the_smaller_one(self, monkeypatch):
+        x = 0.6875
+        weights.weight_cached.cache_clear()
+        sigma._terms_up_to.cache_clear()
+        calls = []
+        weight_v = weights.weight_v
+
+        def counting(mu, x):
+            calls.append(tuple(mu))
+            return weight_v(mu, x)
+
+        monkeypatch.setattr(weights, "weight_v", counting)
+        sigma.psi_strip(x, 1.0, 8)
+        sigma.sigma_det(x, 1.0, 16)
+        assert calls == [tuple(range(1, 17)), tuple(range(17, 33))]
+        assert weights.weight_cached(x, 32) == tuple(r.v for r in weight_v(range(1, 33), x))
+
+    @pytest.mark.parametrize("m,size", [(1, 16), (16, 16), (17, 32), (32, 32)])
+    def test_batch_size_rounds_up_to_whole_blocks(self, m, size):
+        assert weights.batch_size(m) == size
 
 
 class TestGeneratingFunction:
