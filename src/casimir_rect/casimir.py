@@ -111,28 +111,35 @@ def integral_I1(x_vol: float) -> float:
     I1 = -(1/2pi) Int_{|x|}^inf dW (W^2-x^2)^{-1/2} Li2(-r(W) e^{-2W}) with
     r = (W-x)/(W+x), after the substitution W = sqrt(x^2+s^2).  Diverges
     logarithmically at x_vol = 0 (rejected); the jump across zero is twice
-    Catalan's constant.  For x < 0 the integrand has an integrable squared
-    log at s = 0, handled on (0, 1] in the variable s = e^{-u}.
+    Catalan's constant.  The head s in (0, 1] is a plain integral only for
+    x >= 1.  Otherwise the integrand has a layer of width |x| at s = 0, an
+    integrable squared log for x < 0 and a peak of height ~1/x for
+    0 < x < 1; in the variable s = e^{-u} it sits at u ~ -log|x|, so the
+    head runs in u to 52 past that point.  That keeps s = e^{-u} a positive
+    double for |x_vol| >= 1e-300; closer to zero I1 is rejected.
     """
     _require_finite(x_vol)
     if x_vol == 0.0:
         raise ValueError("logarithmically divergent at x_vol = 0")
+    if abs(x_vol) < 1e-300:
+        raise ValueError(f"|x_vol| < 1e-300 is beyond double precision here, got {x_vol}")
     x = x_vol
 
     def integrand(s: np.ndarray) -> np.ndarray:
         return dilog(-strip.decay_factor(s, x)) / np.hypot(s, x)
 
     tail = quad.integrate_finite(integrand, 1.0, abs(x) + 32.0, _I1_PART_SPEC)
-    if x > 0.0:
+    if x >= 1.0:
         head = quad.integrate_finite(integrand, 0.0, 1.0, _I1_PART_SPEC)
     else:
-        # map (0, 1] to [0, 52) via s = e^{-u}; the u^2 e^{-u} decay of the
-        # squared-log endpoint makes this a plain smooth integral
+        # map (0, 1] to [0, u_max) via s = e^{-u}; past the layer the
+        # integrand decays at least like u^2 e^{-u}
         def transformed(u: np.ndarray) -> np.ndarray:
             s = np.exp(-u)
             return integrand(s) * s
 
-        head = quad.integrate_finite(transformed, 0.0, 52.0, _I1_PART_SPEC)
+        u_max = 52.0 + max(0.0, -math.log(abs(x)))
+        head = quad.integrate_finite(transformed, 0.0, u_max, _I1_PART_SPEC)
     return -(head + tail) / (2.0 * math.pi)
 
 
@@ -152,7 +159,9 @@ def integral_I2(x_vol: float, N: int = DEFAULT_ORDER) -> float:
     tail).  Integrating toward -inf for x < 0 starts from the ordered
     phase, whose two degenerate states contribute the boundary constant
     -log 2; together with the changed limit this produces the jump
-    2C - (3/2) log 2 across x_vol = 0 (C = Catalan's constant).
+    2C - (3/2) log 2 across x_vol = 0 (C = Catalan's constant).  For
+    |x| < 1 the log term is log1p(x^2) - 2 log|x|, since x^-2 overflows
+    near x = 0.
     """
     _require_finite(x_vol)
     if x_vol == 0.0:
@@ -160,7 +169,8 @@ def integral_I2(x_vol: float, N: int = DEFAULT_ORDER) -> float:
     sgn = 1.0 if x_vol > 0.0 else -1.0
     h = abs(x_vol)
     psi0 = sigma.psi_strip(0.0, 1.0, N)
-    total = psi0 * math.log1p(1.0 / (x_vol * x_vol))
+    log_term = math.log1p(h * h) - 2.0 * math.log(h) if h < 1.0 else math.log1p(1.0 / (h * h))
+    total = psi0 * log_term
     if x_vol < 0.0:
         total -= math.log(2.0)
 

@@ -17,8 +17,10 @@ constant imaginary part integrates, through the counting-kernel identity
 (1/pi) Int K dt = (sign x - 1)/2, to an exact overall sign flip, keeping
 all arithmetic real.
 
-Closed forms are available at x = 0 through the Euler beta function, and at
-x = -1 where the first zero degenerates.
+At x = -1 the first zero degenerates to the origin and the integral
+diverges logarithmically; the finite combination left over has the log
+factor log(t^2) and its own prefactor.  The closed form at x = 0, through
+the Euler beta function, is the only other route.
 
 The kernel does not depend on the mode; only the log factor does.  So the
 weights of many modes at one x run as one lockstep quadrature
@@ -26,8 +28,8 @@ weights of many modes at one x run as one lockstep quadrature
 each bisection round evaluates the new panels of all modes in one
 integrand call, with the log factor broadcast per row.  The panel sums are
 per-row dot products, so each weight is bit-identical to the weight of its
-mode computed alone.  weight_cached holds v_1..v_n per x in whole blocks of
-MODE_BLOCK modes.
+mode computed alone, the degenerate one included.  weight_cached holds
+v_1..v_n per x, one batch per entry.
 """
 
 from __future__ import annotations
@@ -110,10 +112,13 @@ def _exponent_integrals(x: float, log_factor, count: int) -> list[float]:
     def integrand(s: np.ndarray, owners: np.ndarray) -> np.ndarray:
         return log_factor(s, owners) * _kernel_sub(s, x)
 
-    if x >= -1.0:
-        return quad.integrate_sqrt_singularity_lockstep(integrand, abs(x), count, WEIGHT_SPEC)
-    c = roots.zero_cached(1, x).gamma
-    return quad.integrate_sinh_map_lockstep(integrand, c, -x + 45.0, count, WEIGHT_SPEC)
+    # where gamma_1^2 underflows (x <~ -380) the quadrature raises naming the
+    # non-finite panel; numpy's warnings would only repeat that on stderr
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if x >= -1.0:
+            return quad.integrate_sqrt_singularity_lockstep(integrand, abs(x), count, WEIGHT_SPEC)
+        c = roots.zero_cached(1, x).gamma
+        return quad.integrate_sinh_map_lockstep(integrand, c, -x + 45.0, count, WEIGHT_SPEC)
 
 
 def _prefactor(zero: roots.ZeroRecord, x: float) -> float:
@@ -122,31 +127,33 @@ def _prefactor(zero: roots.ZeroRecord, x: float) -> float:
 
 
 def _contour_weights(modes: tuple[int, ...], x: float) -> list[WeightRecord]:
-    if 1 in modes and x == -1.0:
-        raise ValueError("degenerate point; use weight_v_special_xneg1")
     zeros = [roots.zero_cached(mu, x) for mu in modes]
     # log factor log(1 + (x^2 + s^2)/phi^2) of a real zero; for the imaginary
     # first zero |1 - t^2/y^2| = (gamma^2 + s^2)/y^2, and the constant i*pi
-    # branch reduces to an overall sign flip
-    imaginary = np.array([not z.phi_sq > 0.0 for z in zeros])
-    shift = np.array([z.gamma * z.gamma if im else x * x for z, im in zip(zeros, imaginary)])
-    scale = np.array([-z.phi_sq if im else z.phi_sq for z, im in zip(zeros, imaginary)])
+    # branch reduces to an overall sign flip; for the degenerate one at
+    # x = -1 it is log(t^2) = log(gamma^2 + s^2) with gamma = 1
+    plain_log = np.array([not z.phi_sq > 0.0 for z in zeros])
+    shift = np.array([z.gamma * z.gamma if pl else x * x for z, pl in zip(zeros, plain_log)])
+    scale = np.array([abs(z.phi_sq) or 1.0 for z in zeros])
 
     def log_factor(s: np.ndarray, owners: np.ndarray) -> np.ndarray:
         ratio = (shift[owners] + s * s) / scale[owners]
-        if not imaginary.any():
+        if not plain_log.any():
             return np.log1p(ratio)
-        im = imaginary[owners]
+        pl = plain_log[owners]
         out = np.empty_like(ratio)
-        out[~im] = np.log1p(ratio[~im])
-        out[im] = np.log(ratio[im])
+        out[~pl] = np.log1p(ratio[~pl])
+        out[pl] = np.log(ratio[pl])
         return out
 
     records = []
-    for mu, zero, im, integral in zip(modes, zeros, imaginary,
-                                      _exponent_integrals(x, log_factor, len(modes))):
+    for mu, zero, integral in zip(modes, zeros, _exponent_integrals(x, log_factor, len(modes))):
+        if zero.phi_sq == 0.0:
+            records.append(WeightRecord(mu=mu, v=12.0 * math.exp(integral / math.pi),
+                                        method="special_x_neg1"))
+            continue
         expo = zero.sigma / math.pi * integral
-        v = (-1.0 if im else 1.0) * _prefactor(zero, x) * math.exp(expo)
+        v = (-1.0 if zero.phi_sq < 0.0 else 1.0) * _prefactor(zero, x) * math.exp(expo)
         records.append(WeightRecord(mu=mu, v=v, method="contour"))
     return records
 
@@ -156,8 +163,8 @@ def weight_v(mu, x: float):
 
     mu is one mode, giving one WeightRecord, or a sequence of modes, giving
     a list of records whose integrals run side by side; each value is
-    bit-identical to its mode's own.  Not defined at (mu, x) = (1, -1),
-    where the first zero degenerates; use weight_v_special_xneg1 there.
+    bit-identical to its mode's own.  At (mu, x) = (1, -1), where the first
+    zero degenerates, the record is the special form (weight_v_special_xneg1).
     """
     if isinstance(mu, Integral):
         return _contour_weights((mu,), x)[0]
@@ -170,12 +177,7 @@ def weight_v_special_xneg1() -> WeightRecord:
     The degenerate zero at the origin leaves the finite combination
     v_1 = 12 exp[(1/pi) Int_1^inf log(t^2) K(t) dt] = 6.39303337215...
     """
-
-    def log_factor(s: np.ndarray, owners: np.ndarray) -> np.ndarray:
-        return np.log(1.0 + s * s)  # log(t^2) with t^2 = 1 + s^2
-
-    expo = _exponent_integrals(-1.0, log_factor, 1)[0] / math.pi
-    return WeightRecord(mu=1, v=12.0 * math.exp(expo), method="special_x_neg1")
+    return weight_v(1, -1.0)
 
 
 def weight_v_closed_x0(mu: int) -> WeightRecord:
@@ -189,24 +191,12 @@ def weight_v_closed_x0(mu: int) -> WeightRecord:
     return WeightRecord(mu=mu, v=v, method="closed_form_x0")
 
 
-def weight(mu, x: float):
-    """Weights v_mu(x), dispatched per mode over the three routes.
-
-    The closed form at x = 0, the special form for the first weight at
-    x = -1, and the contour integral everywhere else, where a sequence of
-    modes shares one weight_v call.  mu is one mode, giving one
-    WeightRecord, or a sequence of modes, giving a list of records.
-    """
-    if isinstance(mu, Integral):
-        return weight((mu,), x)[0]
-    modes = tuple(mu)
+def weight(modes, x: float) -> list[WeightRecord]:
+    """Weights v_mu(x) of a sequence of modes: the closed forms at x = 0,
+    one weight_v batch everywhere else."""
     if x == 0.0:
-        return [weight_v_closed_x0(m) for m in modes]
-    special = x == -1.0
-    contour = [m for m in modes if not (special and m == 1)]
-    records = iter(weight_v(contour, x) if contour else ())
-    return [weight_v_special_xneg1() if special and m == 1 else next(records)
-            for m in modes]
+        return [weight_v_closed_x0(mu) for mu in modes]
+    return weight_v(modes, x)
 
 
 MODE_BLOCK = 16  # weights are computed and cached in whole blocks of modes
@@ -222,9 +212,6 @@ def weight_cached(x: float, n: int) -> tuple[float, ...]:
     """Memoized weights v_1..v_n(x), one batch per (x, n).
 
     The series, determinant and spin modules read it with n = batch_size(m)
-    for their highest mode m, so they share one entry per x.  An entry
-    beyond MODE_BLOCK modes extends the cached entry of MODE_BLOCK fewer
-    modes, so no mode is computed twice at one x.
+    for their highest mode m, so they share one entry per x.
     """
-    head = weight_cached(x, n - MODE_BLOCK) if n > MODE_BLOCK else ()
-    return head + tuple(rec.v for rec in weight(range(len(head) + 1, n + 1), x))
+    return tuple(rec.v for rec in weight(range(1, n + 1), x))

@@ -88,6 +88,18 @@ class TestI1:
         jump = integral_I1(eps) - integral_I1(-eps)
         assert jump == pytest.approx(-2.0 * C, abs=3e-3)
 
+    # from `python tests/mp_integral_I1.py -1e-10 -1e-12 1e-12` (40 digits)
+    @pytest.mark.parametrize("x,ref", [(-1e-10, 4.5402066552778402),
+                                       (-1e-12, 5.1430220238118356),
+                                       (1e-12, 3.3110908354761813)])
+    def test_tiny_x_against_mpmath(self, x, ref):
+        assert integral_I1(x) == pytest.approx(ref, abs=1e-14)
+
+    @pytest.mark.parametrize("x", [-1e-301, 5e-324])
+    def test_rejects_x_beyond_double_precision(self, x):
+        with pytest.raises(ValueError):
+            integral_I1(x)
+
 
 class TestI2:
     def test_rejects_zero(self):
@@ -141,6 +153,18 @@ class TestThetaSC:
     def test_high_temperature_limit(self):
         assert abs(theta_sc(12.0)) < 1e-6
 
+    def test_log_law_down_to_tiny_x(self):
+        # theta_sc(x) + log|x|/8 is constant on each side of x = 0, and the
+        # constants differ by the jump -(3/2) log 2.  The jump is met to the
+        # 2.4e-11 error of I2's far tail for x < 0, not to the 1e-12 spread.
+        consts = []
+        for side in (-1.0, 1.0):
+            vals = [theta_sc(side * ax) + math.log(ax) / 8.0
+                    for ax in (1e-16, 1e-20, 1e-50, 1e-100, 1e-160, 1e-300)]
+            assert max(vals) - min(vals) < 1e-12
+            consts.append(vals[0])
+        assert consts[1] - consts[0] == pytest.approx(-1.5 * LOG2, abs=5e-11)
+
     def test_rho_independence_probe(self):
         # reassemble via rho = 2 using theta_total; agreement to 1e-6
         for x in (1.0, -1.0):
@@ -182,6 +206,14 @@ class TestThetaTotal:
         got = theta_total(2.0, 0.5)
         ref = theta_total(1.0, 2.0) / 0.25
         assert got == ref  # the rho < 1 branch is defined by this relation
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(x=st.floats(-340.0, 1000.0).filter(lambda v: abs(v) >= 1e-280),
+           rho=st.floats(0.05, 50.0))
+    def test_finite_on_whole_plane(self, x, rho):
+        # the weights overflow from about x = -350 on, and I1 rejects
+        # |x rho| < 1e-300; neither is swept
+        assert math.isfinite(theta_total(x, rho))
 
     def test_decomposition_identity(self):
         for x, rho in ((-1.5, 1.4), (-1.0, 1.5)):

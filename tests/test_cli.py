@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -92,11 +93,12 @@ class TestCommands:
         monkeypatch.setattr(weights, "weight_v", counting)
         code, out = run_cli(capsys, ["weights", "--x", "-1", "--count", "8"])
         assert code == 0
-        assert calls == [(tuple(range(2, 9)), -1.0)]
+        assert calls == [(tuple(range(1, 9)), -1.0)]
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert rows[0][2] == "special_x_neg1"
-        for mu, row in zip(range(2, 9), rows[1:]):
-            assert float(row[1]) == weight_v(mu, -1.0).v and row[2] == "contour"
+        for mu, row in enumerate(rows, start=1):
+            assert float(row[1]) == weight_v(mu, -1.0).v
+            assert row[2] == ("special_x_neg1" if mu == 1 else "contour")
 
     def test_vartheta_table(self, capsys):
         code, out = run_cli(capsys, ["vartheta-table", "--x-min", "-1", "--x-max", "1",
@@ -280,6 +282,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["weights", "--x=-380", "--count", "16"],
+        ["vartheta-table", "--x-min=-400", "--x-max=-400", "--steps", "1", "--rho", "1"],
+    ], ids=["weights", "vartheta-table"])
+    def test_weight_underflow_prints_one_line(self, capsys, argv):
+        # the non-finite weight integrand is reported once, without numpy
+        # warnings quoting source lines ahead of it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: non-finite integrand value in panel")
+        assert err.count("\n") == 1
 
     def test_tiny_nonzero_x_row(self, capsys):
         argv = ["vartheta-table", "--x-min", "1e-20", "--x-max", "1e-20", "--steps", "1",
