@@ -193,13 +193,13 @@ def integral_I2(x_vol: float, N: int = DEFAULT_ORDER) -> float:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def theta_volume_rho1(x_vol: float, N: int = DEFAULT_ORDER) -> float:
     """Volume potential on the square, theta_volume(x, 1) = I1(x) + I2(x)."""
     return integral_I1(x_vol) + integral_I2(x_vol, N)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def theta_sc(x: float, N: int = DEFAULT_ORDER) -> float:
     """Surface-corner contribution, rho-independent.
 
@@ -215,14 +215,16 @@ def theta_sc(x: float, N: int = DEFAULT_ORDER) -> float:
             + theta_volume_rho1(x, N))
 
 
-def _dPsi_dx(x: float, rho: float, N: int) -> float:
-    """x-derivative of Psi by central differences with one refinement."""
+def _x_dPsi_dx(x: float, rho: float, N: int) -> float:
+    """x * dPsi/dx by central differences with one refinement; 0 at x = 0."""
+    if x == 0.0:
+        return 0.0
     h = max(1e-4, 1e-4 * abs(x))
 
     def d(step: float) -> float:
         return (sigma.Psi(x + step, rho, N) - sigma.Psi(x - step, rho, N)) / (2.0 * step)
 
-    return (4.0 * d(h / 2.0) - d(h)) / 3.0
+    return x * ((4.0 * d(h / 2.0) - d(h)) / 3.0)
 
 
 def x_dtheta_sc(x: float, N: int = DEFAULT_ORDER) -> float:
@@ -235,10 +237,8 @@ def x_dtheta_sc(x: float, N: int = DEFAULT_ORDER) -> float:
     -1/8 (the corner log amplitude).
     """
     _require_finite(x)
-    val = strip.theta_oo(x) + strip.vartheta_oo(x) - 2.0 * sigma.psi_strip(x, 1.0, N)
-    if x != 0.0:
-        val -= x * _dPsi_dx(x, 1.0, N)
-    return val
+    return (strip.theta_oo(x) + strip.vartheta_oo(x) - 2.0 * sigma.psi_strip(x, 1.0, N)
+            - _x_dPsi_dx(x, 1.0, N))
 
 
 def theta_total(x: float, rho: float, N: int = DEFAULT_ORDER) -> float:
@@ -299,10 +299,8 @@ def vartheta_column(x: float, rhos: Sequence[float],
 def _vartheta_exchanged(x: float, rho: float, N: int) -> float:
     u = x * rho
     w = 1.0 / rho
-    val = strip.vartheta_oo(u) - rho * x_dtheta_sc(u, N) - sigma.psi_strip(u, w, N)
-    if u != 0.0:
-        val -= u * _dPsi_dx(u, w, N)
-    return val / (rho * rho)
+    return (strip.vartheta_oo(u) - rho * x_dtheta_sc(u, N) - sigma.psi_strip(u, w, N)
+            - _x_dPsi_dx(u, w, N)) / (rho * rho)
 
 
 def casimir_amplitude(rho: float) -> float:
@@ -312,8 +310,7 @@ def casimir_amplitude(rho: float) -> float:
     as a consistency check whenever the series is in its validity range.
     """
     _require_finite(rho)
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    _require_positive((rho,))
     value = 0.25 * log_dedekind_eta(rho)
     if rho >= 0.5:
         other = (rho * strip.theta_oo(0.0)

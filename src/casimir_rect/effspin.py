@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import roots
+from . import roots, sigma
 from .weights import batch_size, weight_cached
 
 __all__ = ["EffectiveModel", "build_model", "enumerate_partition",
@@ -98,13 +98,11 @@ def matched_series(x: float, rho: float, n_spins: int) -> float:
     run over the same balanced index sets, so the two must agree to
     rounding, not merely to truncation order.
     """
-    from .sigma import amplitude  # local import to avoid a module cycle
-
     total = 1.0
     for occ in _balanced_configs(n_spins):
         if not occ:
             continue
-        term = amplitude(tuple(i + 1 for i in occ), x)
+        term = sigma.amplitude(tuple(i + 1 for i in occ), x)
         total += term.a * math.exp(-rho * term.gamma_sum)
     return total
 

@@ -88,6 +88,8 @@ def solve_bracket(func, lo: float, hi: float, tol: float, what: str) -> float:
     f' = 0 steps by bisection.  Without a sign change an end whose residual
     is within tol, or within what one ulp of the end moves f, is taken:
     rounding can flip the residual's sign at a zero that close to an end.
+    A collapsed bracket is accepted by the same slope rule (or 1e-11): where
+    |f'| is large, one ulp of z moves f by more than any fixed tolerance.
     """
     (flo, dlo), (fhi, dhi) = func(lo), func(hi)
     if flo == 0.0:
@@ -114,8 +116,8 @@ def solve_bracket(func, lo: float, hi: float, tol: float, what: str) -> float:
             step_ok = lo < znew < hi
         z = znew if step_ok else 0.5 * (lo + hi)
         if hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
-            fz = func(z)[0]
-            if abs(fz) <= max(tol, 1e-11):
+            fz, dz = func(z)
+            if abs(fz) <= max(tol, 1e-11, 4.0 * abs(dz) * math.ulp(z)):
                 return z
             raise RootFindError(
                 f"bracket collapsed at [{lo}, {hi}] with residual {fz:.3e} for {what}"
@@ -179,7 +181,7 @@ def find_zero(mu: int, x: float, tol: float = 1e-14) -> ZeroRecord:
     return ZeroRecord(mu=mu, sigma=sigma, phi_sq=phi_sq, gamma=gamma)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def zero_cached(mu: int, x: float) -> ZeroRecord:
     """Memoized find_zero at default tolerance (shared across modules)."""
     return find_zero(mu, x)

@@ -110,7 +110,7 @@ def amplitude(s, x: float) -> SubsetTerm:
     return SubsetTerm(a=a, gamma_sum=math.fsum(z.gamma for z in zs))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _terms_up_to(x: float, N: int) -> tuple[SubsetTerm, ...]:
     out: list[SubsetTerm] = []
     for n in range(1, N + 1):

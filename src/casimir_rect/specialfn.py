@@ -128,8 +128,6 @@ def _sigma_q_sum(q: float) -> float:
     geometric-dominated; the bound is checked to lie below 1e-15 relative to the
     leading term's scale.
     """
-    if q == 0.0:
-        return 0.0
     total = 0.0
     n = 0
     while n < _TERM_CAP:
@@ -145,15 +143,19 @@ def _sigma_q_sum(q: float) -> float:
     return total
 
 
+def _nome(rho: float) -> float:
+    """The nome q = exp(-2*pi*rho) of the point i*rho, rho > 0."""
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    return math.exp(-2.0 * math.pi * rho)
+
+
 def eisenstein_E2(rho: float) -> float:
     """Weight-two Eisenstein series E2 on the imaginary axis, argument i*rho.
 
     E2(i*rho) = 1 - 24 * sum_{n>=1} sigma(n) q^n with q = exp(-2*pi*rho).
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    q = math.exp(-2.0 * math.pi * rho)
-    return 1.0 - 24.0 * _sigma_q_sum(q)
+    return 1.0 - 24.0 * _sigma_q_sum(_nome(rho))
 
 
 def log_q_pochhammer(rho: float) -> float:
@@ -163,11 +165,7 @@ def log_q_pochhammer(rho: float) -> float:
     -sum_n sigma(n) q^n / n agrees to full precision and is exercised in
     the tests.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    q = math.exp(-2.0 * math.pi * rho)
-    if q == 0.0:
-        return 0.0
+    q = _nome(rho)
     total = 0.0
     qj = 1.0
     for _ in range(_TERM_CAP):

@@ -112,9 +112,10 @@ def _exponent_integrals(x: float, log_factor, count: int) -> list[float]:
     def integrand(s: np.ndarray, owners: np.ndarray) -> np.ndarray:
         return log_factor(s, owners) * _kernel_sub(s, x)
 
-    # where gamma_1^2 underflows (x <~ -380) the quadrature raises naming the
-    # non-finite panel; numpy's warnings would only repeat that on stderr
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # where gamma_1^2 underflows (x <~ -380) or x^2 overflows (x >~ 1e154)
+    # the quadrature raises naming the non-finite panel; numpy's warnings
+    # would only repeat that on stderr
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if x >= -1.0:
             return quad.integrate_sqrt_singularity_lockstep(integrand, abs(x), count, WEIGHT_SPEC)
         c = roots.zero_cached(1, x).gamma
@@ -181,13 +182,13 @@ def weight_v_special_xneg1() -> WeightRecord:
 
 
 def weight_v_closed_x0(mu: int) -> WeightRecord:
-    """Exact weight at x = 0: 4 F0^(1+sigma) [B(mu/2, 1/2)/(sqrt(2) pi)]^(2 sigma)."""
-    if mu < 1:
-        raise ValueError("mu must be >= 1")
-    sigma = 1 if mu % 2 == 1 else -1
-    f0 = (mu - 0.5) * math.pi
+    """Exact weight at x = 0: 4 F0^(1+sigma) [B(mu/2, 1/2)/(sqrt(2) pi)]^(2 sigma).
+
+    F0 = (mu - 1/2) pi and sigma are the x = 0 zero's, from roots.
+    """
+    zero = roots.zero_cached(mu, 0.0)
     ratio = euler_beta(mu / 2.0, 0.5) / (math.sqrt(2.0) * math.pi)
-    v = 4.0 * f0 ** (1 + sigma) * ratio ** (2 * sigma)
+    v = 4.0 * zero.gamma ** (1 + zero.sigma) * ratio ** (2 * zero.sigma)
     return WeightRecord(mu=mu, v=v, method="closed_form_x0")
 
 
@@ -207,7 +208,7 @@ def batch_size(m: int) -> int:
     return MODE_BLOCK * -(-m // MODE_BLOCK)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def weight_cached(x: float, n: int) -> tuple[float, ...]:
     """Memoized weights v_1..v_n(x), one batch per (x, n).
 

@@ -240,8 +240,23 @@ class TestVarthetaTotal:
         upper = vartheta_total(x, 1.0)
         lower = (strip.vartheta_oo(x) - x_dtheta_sc(x)
                  - sigma.psi_strip(x, 1.0, 8)
-                 - (x * casimir._dPsi_dx(x, 1.0, 8) if x != 0.0 else 0.0))
+                 - casimir._x_dPsi_dx(x, 1.0, 8))
         assert upper == pytest.approx(lower, abs=1e-8)
+
+    def test_critical_exchange_formula(self):
+        # at u = x rho = 0 the x dPsi/dx term drops out exactly
+        rho = 0.7
+        expected = (strip.vartheta_oo(0.0) - rho * x_dtheta_sc(0.0)
+                    - sigma.psi_strip(0.0, 1.0 / rho, 8)) / (rho * rho)
+        assert vartheta_total(0.0, rho) == expected
+
+    @pytest.mark.parametrize("rho", [0.55, 1.0, 50.0])
+    @pytest.mark.parametrize("x", [3.2e4, 1e5, 1e8])
+    def test_large_x_is_finite(self, x, rho):
+        # the zeros are found where the dispersion function is steep; the
+        # exponentially small force and potential come out finite
+        assert math.isfinite(vartheta_total(x, rho))
+        assert math.isfinite(theta_total(x, rho))
 
     def test_rho_below_one_consistency(self):
         # against the defining derivative -d/drho [rho theta] at rho = 0.8
@@ -268,13 +283,18 @@ class TestVarthetaTotal:
     @given(x=st.floats(-350.0, 1000.0))
     def test_branches_agree_across_rho1(self, x):
         # rho = 1 takes the strip branch, the next float below it the exchange
-        # branch; the finite differences in _dPsi_dx leave ~1e-10 relative
+        # branch; the finite differences in _x_dPsi_dx leave ~1e-10 relative
         below = vartheta_total(x, 1.0 - 1e-15)
         assert vartheta_total(x, 1.0) == pytest.approx(below, rel=1e-8, abs=1e-300)
 
     def test_x_dtheta_sc_finite_at_zero(self):
         # tends to -1/8, the corner log amplitude
         assert x_dtheta_sc(0.0) == pytest.approx(-0.125, abs=1e-9)
+
+    def test_x_dtheta_sc_at_zero_drops_derivative_term(self):
+        expected = (strip.theta_oo(0.0) + strip.vartheta_oo(0.0)
+                    - 2.0 * sigma.psi_strip(0.0, 1.0, 8))
+        assert x_dtheta_sc(0.0) == expected
 
 
 class TestScalingRelation:

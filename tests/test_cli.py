@@ -298,6 +298,25 @@ class TestExitCodes:
         assert err.startswith("numerical failure: non-finite integrand value in panel")
         assert err.count("\n") == 1
 
+    def test_large_x_row(self, capsys):
+        # the zeros are found where the dispersion function is steep
+        argv = ["vartheta-table", "--x-min", "1e5", "--x-max", "1e5", "--steps", "1",
+                "--rho", "1"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "100000,1,0"
+
+    def test_weight_overflow_prints_one_line(self, capsys):
+        # x^2 overflows in the weight integrand at x = 1e300; the failure is
+        # reported once, with no numpy overflow warning ahead of it
+        argv = ["vartheta-table", "--x-min", "1e300", "--x-max", "1e300", "--steps", "1",
+                "--rho", "1"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err == "numerical failure: non-finite integrand value in panel [0.0, 1e+300]\n"
+
     def test_tiny_nonzero_x_row(self, capsys):
         argv = ["vartheta-table", "--x-min", "1e-20", "--x-max", "1e-20", "--steps", "1",
                 "--rho", "1"]

@@ -121,6 +121,17 @@ def test_tiny_x_zero_at_bracket_end(x):
         assert find_zero(mu, x).phi_sq == pytest.approx(f0 * f0, rel=1e-13)
 
 
+@pytest.mark.parametrize("mu, x", [(mu, x) for x in (1e5, 1e6, 1e8) for mu in range(1, 5)]
+                         + [(10431, 1.0)])
+def test_zero_at_steep_slope(mu, x):
+    # where |f'| ~ x/F is large, one ulp of F moves the residual past any
+    # fixed tolerance; the zero is still found to within that ulp
+    f = find_zero(mu, x).phi
+    assert (mu - 0.5) * PI < f < mu * PI
+    slope = -math.sin(f) + x * (f * math.cos(f) - math.sin(f)) / (f * f)
+    assert abs(eval_char_poly(f * f, x)) <= 4.0 * abs(slope) * math.ulp(f)
+
+
 def test_series_approx_low_order():
     # order 2 reproduces F0^2 + 2x - x^2(2x+3)/(3 F0^2); the evaluated form
     # carries partial higher-order terms, hence the loose comparison

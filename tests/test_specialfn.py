@@ -101,6 +101,12 @@ class TestQSeries:
     def test_pochhammer_limit(self):
         assert log_q_pochhammer(60.0) == 0.0
 
+    def test_underflowed_nome(self):
+        # q = exp(-2 pi rho) is 0.0 here; the series still sum to their limits
+        assert math.exp(-2.0 * PI * 200.0) == 0.0
+        assert eisenstein_E2(200.0) == 1.0
+        assert log_q_pochhammer(200.0) == 0.0
+
     @pytest.mark.parametrize("rho", [0.3, 0.7, 1.0, 2.5])
     def test_eta_vs_mpmath(self, rho):
         ref = float(mp.log(mp.qp(mp.exp(-2 * mp.pi * rho))) - mp.pi * rho / 12)

@@ -79,6 +79,10 @@ class TestClosedForms:
             cont = weight_v(mu, 0.0).v
             assert abs(cont - closed) / closed < 1e-11
 
+    def test_closed_form_rejects_mode_zero(self):
+        with pytest.raises(ValueError, match="mu must be >= 1"):
+            weight_v_closed_x0(0)
+
     def test_method_labels(self):
         assert weight_v(3, 0.5).method == "contour"
         assert weight_v_closed_x0(3).method == "closed_form_x0"
