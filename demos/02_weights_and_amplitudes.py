@@ -16,7 +16,6 @@ from casimir_rect import (
     enumerate_sets,
     weight_v,
     weight_v_closed_x0,
-    weight_v_special_xneg1,
 )
 
 print("Critical-point weights: contour integral vs closed form")
@@ -27,7 +26,7 @@ for mu in range(1, 7):
           f"rel diff = {(contour - closed) / closed:.1e}")
 
 print()
-v1 = weight_v_special_xneg1().v
+v1 = weight_v(1, -1.0).v
 print(f"Degenerate-point weight v_1(-1) = {v1:.11f}  (reference 6.39303337215)")
 print("Continuity across x = -1:")
 for eps in (1e-2, 1e-3, 1e-4):

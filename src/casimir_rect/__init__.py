@@ -74,5 +74,4 @@ from .weights import (
     weight,
     weight_v,
     weight_v_closed_x0,
-    weight_v_special_xneg1,
 )

@@ -18,8 +18,6 @@ import sys
 
 from . import __version__, casimir, effspin, roots, sigma, specialfn, strip
 from . import thermo_constants, weights
-from .quad import QuadratureError
-from .roots import RootFindError
 from .tables import FunctionTable, emit_table
 
 __all__ = ["main"]
@@ -34,7 +32,7 @@ def _x_grid(params: dict) -> list[float]:
 
 def _cmd_zeros(p: dict) -> FunctionTable:
     table = FunctionTable(["mu", "phi", "phi_sq", "gamma"])
-    for rec in roots.find_zeros(p["count"], p["x"], p["tol"]):
+    for rec in roots.find_zeros(p["count"], p["x"]):
         if rec.phi_sq < 0.0:
             phi_repr = format(math.sqrt(-rec.phi_sq), ".17g") + "i"
         else:
@@ -102,7 +100,7 @@ def _cmd_constants(p: dict) -> FunctionTable:
     table.add_row("psi_0_1", sigma.psi_strip(0.0, 1.0, 10))
     table.add_row("vartheta_0_1", casimir.vartheta_total(0.0, 1.0, 10))
     table.add_row("rho_0", casimir.find_rho0())
-    table.add_row("v1_x_neg1", weights.weight_v_special_xneg1().v)
+    table.add_row("v1_x_neg1", weights.weight_v(1, -1.0).v)
     table.add_row("surface_critical", thermo_constants.surface_critical_value())
     table.add_row("corner_constant",
                   thermo_constants.corner_free_energy(1e-3).terms["constant"])
@@ -146,7 +144,7 @@ def _finite_float(text: str) -> float:
 
 
 def _positive(convert):
-    """argparse type for counts, orders, aspect ratios and tolerances: value > 0."""
+    """argparse type for counts, orders and aspect ratios: value > 0."""
 
     def parse(text: str):
         value = convert(text)
@@ -175,7 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("zeros", help="zero table at one x")
     sp.add_argument("--x", type=_finite_float, required=True)
     sp.add_argument("--count", type=_positive_int, default=4)
-    sp.add_argument("--tol", type=_positive_float, default=1e-14)
     add_common(sp)
 
     sp = sub.add_parser("weights", help="weight table at one x")
@@ -242,7 +239,7 @@ def main(argv=None) -> int:
         else:
             emit_table(table, ns.format, sys.stdout, meta)
         return 0
-    except (QuadratureError, RootFindError, RuntimeError, ArithmeticError) as exc:
+    except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

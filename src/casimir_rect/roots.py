@@ -35,6 +35,9 @@ class RootFindError(RuntimeError):
     """Raised when the bracketed iteration fails to converge."""
 
 
+_TOL = 1e-14  # residual tolerance on the dispersion function
+
+
 @dataclass(frozen=True)
 class ZeroRecord:
     """One zero of the dispersion function at fixed x.
@@ -63,9 +66,10 @@ def eval_char_poly(phi_sq: float, x: float) -> float:
     the analytic continuation cosh(y) + (x/y) sinh(y) with y = sqrt(-phi_sq)
     for phi_sq < 0, and the removable limit 1 + x at phi_sq = 0.
     """
+    if not (math.isfinite(phi_sq) and math.isfinite(x)):
+        raise ValueError(f"phi_sq and x must be finite, got {phi_sq}, {x}")
     if phi_sq > 0.0:
-        f = math.sqrt(phi_sq)
-        return math.cos(f) + x * math.sin(f) / f
+        return _char_and_deriv(math.sqrt(phi_sq), x)[0]
     if phi_sq < 0.0:
         y = math.sqrt(-phi_sq)
         if y > 350.0:
@@ -125,7 +129,7 @@ def solve_bracket(func, lo: float, hi: float, tol: float, what: str) -> float:
     raise RootFindError(f"iteration cap reached on bracket [{lo}, {hi}] for {what}")
 
 
-def _find_zero_imag(x: float, tol: float) -> ZeroRecord:
+def _find_zero_imag(x: float) -> ZeroRecord:
     """First zero for x < -1: solve y*coth(y) = -x on (0, -x), phi_sq = -y^2."""
 
     def g(y: float) -> tuple[float, float]:
@@ -135,26 +139,24 @@ def _find_zero_imag(x: float, tol: float) -> ZeroRecord:
 
     lo = 1e-12
     hi = -x
-    y = solve_bracket(g, lo, hi, tol * max(1.0, -x), f"imaginary zero at x={x}")
+    y = solve_bracket(g, lo, hi, _TOL * max(1.0, -x), f"imaginary zero at x={x}")
     # gamma = sqrt(x^2 - y^2) = y/sinh(y) from the dispersion relation;
     # the direct difference cancels catastrophically for large |x|.
     gamma = y / math.sinh(y) if y < 350.0 else 2.0 * y * math.exp(-y)
     return ZeroRecord(mu=1, sigma=1, phi_sq=-(y * y), gamma=gamma)
 
 
-def find_zero(mu: int, x: float, tol: float = 1e-14) -> ZeroRecord:
+def find_zero(mu: int, x: float) -> ZeroRecord:
     """Locate the mu-th zero at scaling variable x.
 
     Brackets: for x > 0 the mu-th zero lies in ((mu-1/2)pi, mu*pi); for
     -1 <= x <= 0 in [(mu-1)pi, (mu-1/2)pi]; for x < -1 the same holds for
     mu >= 2 while the first zero is imaginary and solved through
     y*coth(y) = -x.  Bisection refined by safeguarded Newton, residual
-    tolerance tol on the dispersion function.
+    tolerance _TOL on the dispersion function.
     """
     if mu < 1:
         raise ValueError("mu must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
     sigma = 1 if mu % 2 == 1 else -1
@@ -165,7 +167,7 @@ def find_zero(mu: int, x: float, tol: float = 1e-14) -> ZeroRecord:
         # doubly degenerate zero at the origin
         return ZeroRecord(mu=1, sigma=1, phi_sq=0.0, gamma=1.0)
     if mu == 1 and x < -1.0:
-        return _find_zero_imag(x, tol)
+        return _find_zero_imag(x)
 
     if x > 0.0:
         lo, hi = (mu - 0.5) * math.pi, mu * math.pi
@@ -174,7 +176,7 @@ def find_zero(mu: int, x: float, tol: float = 1e-14) -> ZeroRecord:
     if lo == 0.0:
         lo = 1e-12
 
-    f = solve_bracket(lambda f: _char_and_deriv(f, x), lo, hi, tol,
+    f = solve_bracket(lambda f: _char_and_deriv(f, x), lo, hi, _TOL,
                       f"zero mu={mu} at x={x}")
     phi_sq = f * f
     gamma = math.sqrt(x * x + phi_sq)
@@ -183,15 +185,15 @@ def find_zero(mu: int, x: float, tol: float = 1e-14) -> ZeroRecord:
 
 @lru_cache(maxsize=4096)
 def zero_cached(mu: int, x: float) -> ZeroRecord:
-    """Memoized find_zero at default tolerance (shared across modules)."""
+    """Memoized find_zero (shared across modules)."""
     return find_zero(mu, x)
 
 
-def find_zeros(count: int, x: float, tol: float = 1e-14) -> list[ZeroRecord]:
+def find_zeros(count: int, x: float) -> list[ZeroRecord]:
     """Zeroes for mu = 1..count, strictly ordered in phi_sq."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    records = [find_zero(mu, x, tol) for mu in range(1, count + 1)]
+    records = [find_zero(mu, x) for mu in range(1, count + 1)]
     for a, b in zip(records, records[1:]):
         if not a.phi_sq < b.phi_sq:
             raise RootFindError(f"zero ordering violated between mu={a.mu} and mu={b.mu}")
@@ -244,6 +246,8 @@ def zero_series_approx(mu: int, x: float, order: int) -> float:
         raise ValueError("mu must be >= 1")
     if order < 0:
         raise ValueError("order must be >= 0")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     f0 = (mu - 0.5) * math.pi
     n = 2 * order + 2  # keep terms through u^(2*order+1)
     xu = np.zeros(n)

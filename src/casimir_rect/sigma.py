@@ -129,25 +129,34 @@ def _require_rho(rho: float) -> None:
         )
 
 
-def sigma_series(x: float, rho: float, N: int) -> SigmaResult:
-    """N-th series approximant to Sigma(x, rho); error o(exp(-2 pi rho N))."""
+def _series_sums(x: float, rho: float, N: int) -> tuple[float, float]:
+    """The force numerator -sum_s Gamma_s a_s exp(-rho Gamma_s) and Sigma^(N),
+    accumulated in one pass over the series terms."""
     if N < 1:
         raise ValueError("N must be >= 1")
     _require_rho(rho)
-    total = 1.0
+    num = 0.0
+    den = 1.0
     for term in _terms_up_to(x, N):
-        total += term.a * math.exp(-rho * term.gamma_sum)
-    return SigmaResult(value=total, error_bound=math.exp(-2.0 * math.pi * rho * N))
+        w = term.a * math.exp(-rho * term.gamma_sum)
+        num -= term.gamma_sum * w
+        den += w
+    return num, den
+
+
+def sigma_series(x: float, rho: float, N: int) -> SigmaResult:
+    """N-th series approximant to Sigma(x, rho); error o(exp(-2 pi rho N))."""
+    value = _series_sums(x, rho, N)[1]
+    return SigmaResult(value=value, error_bound=math.exp(-2.0 * math.pi * rho * N))
 
 
 def _det_value(x: float, rho: float, modes: int) -> float:
-    even = [roots.zero_cached(2 * k, x) for k in range(1, modes + 1)]
-    odd = [roots.zero_cached(2 * k - 1, x) for k in range(1, modes + 1)]
-    phi_e = np.array([z.phi_sq for z in even])
-    phi_o = np.array([z.phi_sq for z in odd])
+    zs = [roots.zero_cached(mu, x) for mu in range(1, 2 * modes + 1)]
     vs = weight_cached(x, batch_size(2 * modes))
-    we = np.array([vs[z.mu - 1] * math.exp(-rho * z.gamma) for z in even])
-    wo = np.array([vs[z.mu - 1] * math.exp(-rho * z.gamma) for z in odd])
+    phi_sq = np.array([z.phi_sq for z in zs])
+    w = np.array([v * math.exp(-rho * z.gamma) for v, z in zip(vs, zs)])
+    phi_o, phi_e = phi_sq[0::2], phi_sq[1::2]
+    wo, we = w[0::2], w[1::2]
     t_eo = 1.0 / (phi_o[None, :] - phi_e[:, None])
     t_oe = 1.0 / (phi_e[None, :] - phi_o[:, None])
     y = -(we[:, None] * t_eo) @ (wo[:, None] * t_oe)
@@ -183,15 +192,7 @@ def psi_strip(x: float, rho: float, N: int) -> float:
     The rho-derivative is taken analytically on the series:
     psi = -(sum_s a_s Gamma_s exp(-rho Gamma_s)) / Sigma^(N).
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    _require_rho(rho)
-    num = 0.0
-    den = 1.0
-    for term in _terms_up_to(x, N):
-        w = term.a * math.exp(-rho * term.gamma_sum)
-        num -= term.gamma_sum * w
-        den += w
+    num, den = _series_sums(x, rho, N)
     return num / den
 
 

@@ -12,6 +12,7 @@ below 1e-18, with an explicit geometric tail bound.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -40,7 +41,7 @@ def _dilog_series(z: np.ndarray) -> np.ndarray:
 
 
 def dilog(z):
-    """Real dilogarithm Li2(z) for z <= 1 (scalar or ndarray).
+    """Real dilogarithm Li2(z) for z <= 1, NaN rejected (scalar or ndarray).
 
     Direct series for |z| <= 1/2; the reflection z -> 1-z maps (1/2, 1]
     and the Landen transform z -> z/(z-1) maps [-1, -1/2); arguments below
@@ -49,7 +50,7 @@ def dilog(z):
     z_arr = np.asarray(z, dtype=float)
     scalar = z_arr.ndim == 0
     w = np.atleast_1d(z_arr).astype(float).copy()
-    if np.any(w > 1.0):
+    if not np.all(w <= 1.0):
         raise ValueError("dilog requires z <= 1")
     out = np.zeros_like(w)
     sign = np.ones_like(w)
@@ -81,14 +82,18 @@ def dilog(z):
 
 
 def euler_beta(a: float, b: float) -> float:
-    """Euler beta B(a, b) for positive arguments."""
-    if a <= 0 or b <= 0:
-        raise ValueError("euler_beta requires positive arguments")
+    """Euler beta B(a, b) for positive finite arguments."""
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError("euler_beta requires positive finite arguments")
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 def divisor_sigma(n: int) -> int:
-    """Sum of the divisors of n, by trial-division factorization."""
+    """Sum of the divisors of n, by trial-division factorization.
+
+    A non-integer n raises TypeError, as operator.index does.
+    """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("divisor_sigma requires n >= 1")
     total = 1
@@ -144,9 +149,9 @@ def _sigma_q_sum(q: float) -> float:
 
 
 def _nome(rho: float) -> float:
-    """The nome q = exp(-2*pi*rho) of the point i*rho, rho > 0."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    """The nome q = exp(-2*pi*rho) of the point i*rho, finite rho > 0."""
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
     return math.exp(-2.0 * math.pi * rho)
 
 

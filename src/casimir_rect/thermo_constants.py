@@ -39,7 +39,10 @@ class ExpansionResult:
 
 
 def corner_free_energy(tau: float) -> ExpansionResult:
-    """Corner free energy near criticality, term-labeled; tau = 0 rejected."""
+    """Corner free energy near criticality, term-labeled; tau = 0 and
+    non-finite tau rejected."""
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     if tau == 0.0:
         raise ValueError("corner free energy diverges logarithmically at tau = 0")
     terms = {
@@ -52,6 +55,8 @@ def corner_free_energy(tau: float) -> ExpansionResult:
 
 def surface_free_energy(tau: float) -> ExpansionResult:
     """Surface free energy near criticality through first order in tau."""
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     terms = {"constant": surface_critical_value()}
     if tau != 0.0:
         terms["abs_linear"] = 0.5 * abs(tau)

@@ -49,7 +49,6 @@ __all__ = [
     "WeightRecord",
     "counting_integrand",
     "weight_v",
-    "weight_v_special_xneg1",
     "weight_v_closed_x0",
     "weight",
     "batch_size",
@@ -71,9 +70,9 @@ class WeightRecord:
 
 
 def counting_integrand(t, x: float):
-    """Real-axis counting kernel K(t) for t > |x| (scalar or ndarray)."""
+    """Real-axis counting kernel K(t) for t > |x|, finite x (scalar or ndarray)."""
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= abs(x)):
+    if not np.all(t_arr > abs(x)):
         raise ValueError("counting_integrand requires t > |x|")
     return (x + x * x - t_arr * t_arr) / (
         np.sqrt(t_arr * t_arr - x * x) * (t_arr * np.cosh(t_arr) + x * np.sinh(t_arr))
@@ -165,20 +164,13 @@ def weight_v(mu, x: float):
     mu is one mode, giving one WeightRecord, or a sequence of modes, giving
     a list of records whose integrals run side by side; each value is
     bit-identical to its mode's own.  At (mu, x) = (1, -1), where the first
-    zero degenerates, the record is the special form (weight_v_special_xneg1).
+    zero degenerates to the origin and the integral diverges logarithmically,
+    the record is the finite combination (method "special_x_neg1")
+    v_1 = 12 exp[(1/pi) Int_1^inf log(t^2) K(t) dt] = 6.39303337215...
     """
     if isinstance(mu, Integral):
         return _contour_weights((mu,), x)[0]
     return _contour_weights(tuple(mu), x)
-
-
-def weight_v_special_xneg1() -> WeightRecord:
-    """First weight at x = -1, where the integral diverges logarithmically.
-
-    The degenerate zero at the origin leaves the finite combination
-    v_1 = 12 exp[(1/pi) Int_1^inf log(t^2) K(t) dt] = 6.39303337215...
-    """
-    return weight_v(1, -1.0)
 
 
 def weight_v_closed_x0(mu: int) -> WeightRecord:

@@ -91,7 +91,7 @@ def test_criterion_01_zero_table():
 
 def test_criterion_02_first_weight_below_criticality():
     t0 = time.monotonic()
-    got = weights.weight_v_special_xneg1().v
+    got = weights.weight_v(1, -1.0).v
     assert abs(got - 6.39303337215) < 1e-10
     report(2, 1.0, t0, f"v_1(-1) = {got:.12f} within 1e-10")
 

@@ -256,7 +256,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, expected", [
         (["zeros", "--x", "nan"], 1),
-        (["zeros", "--x", "1", "--tol", "nan"], 1),
         (["weights", "--x", "-inf"], 1),
         (["sigma", "--x", "0", "--rho", "inf"], 1),
         (["vartheta-table", "--x-min", "nan", "--x-max", "1", "--steps", "3", "--rho", "1"], 1),
@@ -316,6 +315,16 @@ class TestExitCodes:
         assert caught == []
         err = capsys.readouterr().err
         assert err == "numerical failure: non-finite integrand value in panel [0.0, 1e+300]\n"
+
+    def test_division_by_zero_prints_one_line(self, capsys):
+        argv = ["theta-table", "--x-min=-1000", "--x-max=-1000", "--steps", "1", "--rho", "1"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: float division by zero\n"
 
     def test_tiny_nonzero_x_row(self, capsys):
         argv = ["vartheta-table", "--x-min", "1e-20", "--x-max", "1e-20", "--steps", "1",

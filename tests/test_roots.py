@@ -165,6 +165,4 @@ def test_input_validation():
     with pytest.raises(ValueError):
         find_zero(0, 1.0)
     with pytest.raises(ValueError):
-        find_zero(1, 1.0, tol=-1.0)
-    with pytest.raises(ValueError):
         find_zeros(0, 1.0)
