@@ -36,6 +36,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -337,6 +338,6 @@ def lattice_to_scaling(z: float, L: int, M: int) -> ScalingPoint:
     """
     if not 0.0 < z < 1.0:
         raise ValueError("coupling parameter must satisfy 0 < z < 1")
-    if L < 1 or M < 1:
+    if not (isinstance(L, Integral) and isinstance(M, Integral) and L >= 1 and M >= 1):
         raise ValueError("lattice extents must be positive integers")
     return ScalingPoint(x=2.0 * M * (1.0 - z / Z_CRITICAL), rho=L / M)

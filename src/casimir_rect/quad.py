@@ -19,10 +19,9 @@ and the halves of all of them go to the integrand in one call, with an
 array saying which integral each node belongs to.  integrate_finite is its
 one-integral case; the sqrt-singularity and sinh-map routes have lockstep
 forms for integrands that share one kernel, such as the mode weights.
-Each panel's sums are taken row by row, with the same dot product as for
-a panel evaluated alone: a matrix product over all rows sums in another
-order and changes the last bits, so a lockstep result would no longer
-equal the integral run by itself.
+np.vecdot takes each panel row's sums with the same dot product as for a
+panel evaluated alone; a matrix product over all rows sums in another order
+and changes the last bits, so lockstep results would differ from lone ones.
 """
 
 from __future__ import annotations
@@ -112,31 +111,26 @@ class QuadratureSpec:
 DEFAULT_SPEC = QuadratureSpec()
 
 
-def _estimates(f, panels):
-    """Gauss-Kronrod (value, error) of each (owner, a, b) panel from one call of f.
-
-    The panel sums are one dot product per row, as for a lone panel, so
-    every estimate is bit-identical to evaluating its panel by itself.
+def _estimates(f, owners, los, his):
+    """Gauss-Kronrod values and error estimates of the panels [los[j], his[j]]
+    of the integrals owners[j] from one call of f, each bit-identical to its
+    panel evaluated alone: np.vecdot sums each row with the same dot product.
     """
-    if not panels:
-        return []
-    mid = np.array([0.5 * (a + b) for _, a, b in panels])
-    half = [0.5 * (b - a) for _, a, b in panels]
-    nodes = (mid[:, None] + np.array(half)[:, None] * _XK).ravel()
-    owners = np.repeat([owner for owner, _, _ in panels], _XK.size)
-    y = np.asarray(f(nodes, owners), dtype=float)
+    if not owners:
+        return [], []
+    lo, hi = np.array(los), np.array(his)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    nodes = (mid[:, None] + half[:, None] * _XK).ravel()
+    y = np.asarray(f(nodes, np.array(owners).repeat(_XK.size)), dtype=float)
     if y.shape != nodes.shape:
         raise ValueError(f"integrand returned shape {y.shape} for {nodes.shape} nodes")
-    y = y.reshape(len(panels), _XK.size)
-    finite = np.isfinite(y).all(axis=1)
-    out = []
-    for (_, a, b), h, row, ok in zip(panels, half, y, finite):
-        if not ok:
-            raise QuadratureError(f"non-finite integrand value in panel [{a}, {b}]")
-        k15 = h * float(_WK @ row)
-        g7 = h * float(_WG @ row[1::2])
-        out.append((k15, abs(k15 - g7)))
-    return out
+    y = y.reshape(len(owners), _XK.size)
+    if not np.isfinite(y).all():
+        j = int(np.argmin(np.isfinite(y).all(axis=1)))
+        raise QuadratureError(f"non-finite integrand value in panel [{los[j]}, {his[j]}]")
+    k15 = half * np.vecdot(y, _WK)
+    g7 = half * np.vecdot(y[:, 1::2], _WG)
+    return k15.tolist(), np.abs(k15 - g7).tolist()
 
 
 def integrate_lockstep(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC) -> list[float]:
@@ -148,45 +142,51 @@ def integrate_lockstep(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC) -> list[flo
     largest error estimate is bisected until the summed estimate meets the
     tolerance.  The integrals advance in lockstep, so each round evaluates
     the bisected panels of all unconverged integrals in one call of f.
-    Raises QuadratureError when an integral's worst panel has reached
-    _MAX_DEPTH bisections or its panel budget is spent.
+    Raises ValueError for non-finite or reversed bounds, and QuadratureError
+    when a worst panel has had _MAX_DEPTH bisections or the budget is spent.
     """
     a = [float(v) for v in a]
     b = [float(v) for v in b]
+    if not all(map(math.isfinite, a + b)):
+        raise ValueError("integration bounds must be finite")
     if any(lo > hi for lo, hi in zip(a, b)):
         raise ValueError("integration bounds must satisfy a <= b")
     results = [0.0] * len(a)
     active = [i for i in range(len(a)) if a[i] != b[i]]
-    firsts = _estimates(f, [(i, a[i], b[i]) for i in active])
-    panels = {i: [(a[i], b[i], 0, val, err)] for i, (val, err) in zip(active, firsts)}
+    # panel j of integral i is [los[i][j], his[i][j]], bisected deps[i][j]
+    # times, with Kronrod value vals[i][j] and error estimate errs[i][j]
+    los, his = {i: [a[i]] for i in active}, {i: [b[i]] for i in active}
+    deps = {i: [0] for i in active}
+    first = _estimates(f, active, [a[i] for i in active], [b[i] for i in active])
+    vals, errs = ({i: [v] for i, v in zip(active, est)} for est in first)
     while active:
-        splits = []
+        splits, owners, new_los, new_his = [], [], [], []
         for i in active:
-            own = panels[i]
-            total = math.fsum(p[3] for p in own)
-            toterr = math.fsum(p[4] for p in own)
+            total = math.fsum(vals[i])
             tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-            if toterr <= tol:
+            if math.fsum(errs[i]) <= tol:
                 results[i] = total
                 continue
-            worst = max(range(len(own)), key=lambda j: own[j][4])
-            pa, pb, depth, _, perr = own[worst]
+            perr = max(errs[i])
+            worst = errs[i].index(perr)
+            pa, pb, depth = los[i][worst], his[i][worst], deps[i][worst]
             if depth >= _MAX_DEPTH:
-                raise QuadratureError(
-                    f"adaptive depth exhausted on panel [{pa}, {pb}] "
-                    f"(error estimate {perr:.3e}, requested {tol:.3e})"
-                )
-            if len(own) >= _MAX_PANELS:
-                raise QuadratureError(
-                    f"panel budget exhausted; worst panel [{pa}, {pb}] "
-                    f"error {perr:.3e}"
-                )
-            splits.append((i, worst, pa, 0.5 * (pa + pb), pb, depth + 1))
-        halves = _estimates(f, [(i, lo, hi) for i, _, pa, pm, pb, _ in splits
-                                for lo, hi in ((pa, pm), (pm, pb))])
-        for n, (i, worst, pa, pm, pb, depth) in enumerate(splits):
-            panels[i][worst] = (pa, pm, depth, *halves[2 * n])
-            panels[i].insert(worst + 1, (pm, pb, depth, *halves[2 * n + 1]))
+                raise QuadratureError(f"adaptive depth exhausted on panel [{pa}, {pb}] "
+                                      f"(error estimate {perr:.3e}, requested {tol:.3e})")
+            if len(errs[i]) >= _MAX_PANELS:
+                raise QuadratureError(f"panel budget exhausted; worst panel [{pa}, {pb}] "
+                                      f"error {perr:.3e}")
+            pm = 0.5 * (pa + pb)
+            splits.append((i, worst, depth + 1))
+            owners += (i, i)
+            new_los += (pa, pm)
+            new_his += (pm, pb)
+        new_vals, new_errs = _estimates(f, owners, new_los, new_his)
+        for n, (i, worst, depth) in enumerate(splits):
+            halves = slice(2 * n, 2 * n + 2)
+            for own, new in ((los, new_los), (his, new_his), (vals, new_vals), (errs, new_errs)):
+                own[i][worst:worst + 1] = new[halves]
+            deps[i][worst:worst + 1] = (depth, depth)
         active = [split[0] for split in splits]
     return results
 

@@ -17,12 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
 __all__ = [
     "ZeroRecord",
     "RootFindError",
+    "check_mode",
     "eval_char_poly",
     "find_zero",
     "find_zeros",
@@ -36,6 +38,12 @@ class RootFindError(RuntimeError):
 
 
 _TOL = 1e-14  # residual tolerance on the dispersion function
+
+
+def check_mode(mu) -> None:
+    """Reject a mode index that is not an integer >= 1 (numpy integers pass)."""
+    if not (isinstance(mu, Integral) and mu >= 1):
+        raise ValueError(f"mu must be >= 1 and an integer, got {mu!r}")
 
 
 @dataclass(frozen=True)
@@ -155,8 +163,7 @@ def find_zero(mu: int, x: float) -> ZeroRecord:
     y*coth(y) = -x.  Bisection refined by safeguarded Newton, residual
     tolerance _TOL on the dispersion function.
     """
-    if mu < 1:
-        raise ValueError("mu must be >= 1")
+    check_mode(mu)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
     sigma = 1 if mu % 2 == 1 else -1
@@ -242,8 +249,7 @@ def zero_series_approx(mu: int, x: float, order: int) -> float:
     Accuracy improves with mu; for small mu and large |x| the series
     degrades gracefully.
     """
-    if mu < 1:
-        raise ValueError("mu must be >= 1")
+    check_mode(mu)
     if order < 0:
         raise ValueError("order must be >= 0")
     if not math.isfinite(x):

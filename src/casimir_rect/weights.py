@@ -26,10 +26,11 @@ The kernel does not depend on the mode; only the log factor does.  So the
 weights of many modes at one x run as one lockstep quadrature
 (quad.integrate_lockstep): every mode keeps its own adaptive panels, and
 each bisection round evaluates the new panels of all modes in one
-integrand call, with the log factor broadcast per row.  The panel sums are
-per-row dot products, so each weight is bit-identical to the weight of its
-mode computed alone, the degenerate one included.  weight_cached holds
-v_1..v_n per x, one batch per entry.
+integrand call, with the log factor broadcast per row.  The quadrature
+sums each panel with the dot product of a lone panel (np.vecdot), so each
+weight is bit-identical to the weight of its mode computed alone, the
+degenerate one included.  weight_cached holds v_1..v_n per x, one batch
+per entry.
 """
 
 from __future__ import annotations
@@ -178,6 +179,8 @@ def weight_v_closed_x0(mu: int) -> WeightRecord:
 
     F0 = (mu - 1/2) pi and sigma are the x = 0 zero's, from roots.
     """
+    # checked here because the cache would serve mu = 3.0 the record of mu = 3
+    roots.check_mode(mu)
     zero = roots.zero_cached(mu, 0.0)
     ratio = euler_beta(mu / 2.0, 0.5) / (math.sqrt(2.0) * math.pi)
     v = 4.0 * zero.gamma ** (1 + zero.sigma) * ratio ** (2 * zero.sigma)

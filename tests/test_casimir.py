@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,6 +68,14 @@ class TestLatticeMap:
             lattice_to_scaling(1.2, 10, 10)
         with pytest.raises(ValueError):
             lattice_to_scaling(0.3, 0, 10)
+
+    @pytest.mark.parametrize("L, M", [(2.5, 4), (4, 2.5), (4.0, 4), (math.nan, 4), (4, math.inf)])
+    def test_non_integer_extents_rejected(self, L, M):
+        with pytest.raises(ValueError, match="positive integers"):
+            lattice_to_scaling(0.3, L, M)
+
+    def test_numpy_integer_extents(self):
+        assert lattice_to_scaling(0.3, np.int64(5), np.int32(4)) == lattice_to_scaling(0.3, 5, 4)
 
 
 class TestI1:

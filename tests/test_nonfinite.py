@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from casimir_rect import roots, specialfn, thermo_constants, weights
@@ -35,3 +36,23 @@ NAN, INF = math.nan, math.inf
 def test_rejected(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda mu: roots.find_zero(mu, 0.0),
+    lambda mu: roots.find_zero(mu, -2.0),
+    lambda mu: roots.zero_series_approx(mu, 1.0, 2),
+    lambda mu: weights.weight_v_closed_x0(mu),
+], ids=["find_zero-x0", "find_zero", "zero_series", "weight_closed_x0"])
+@pytest.mark.parametrize("mu", [NAN, 2.5, 3.0, 0, "3"])
+def test_mode_index_must_be_integer_at_least_one(call, mu):
+    # comparisons such as mu < 1 let NaN, non-integers and 3.0 through
+    with pytest.raises(ValueError, match=r"mu must be >= 1 and an integer"):
+        call(mu)
+
+
+@pytest.mark.parametrize("mu", [np.int64(3), np.int32(3), 3])
+def test_mode_index_accepts_numpy_integers(mu):
+    assert roots.find_zero(mu, 0.5) == roots.find_zero(3, 0.5)
+    assert roots.zero_series_approx(mu, 1.0, 2) == roots.zero_series_approx(3, 1.0, 2)
+    assert weights.weight_v_closed_x0(mu).v == weights.weight_v_closed_x0(3).v

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from casimir_rect import quad
+from casimir_rect import quad, weights
 from casimir_rect.quad import (
     QuadratureError,
     QuadratureSpec,
@@ -152,3 +152,66 @@ def test_lockstep_non_finite_row_reports_panel():
 def test_lockstep_rejects_reversed_bounds():
     with pytest.raises(ValueError):
         quad.integrate_lockstep(_stacked(LOCKSTEP_CASES[:2]), [0.0, 1.0], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("a, b", [(0.0, math.nan), (math.nan, 1.0), (-math.inf, 0.0),
+                                  (0.0, math.inf)])
+def test_lockstep_rejects_non_finite_bounds(a, b):
+    # an argument error, raised before any node is built, so numpy has
+    # nothing to warn about
+    def f(nodes, owners):
+        raise AssertionError("integrand called")
+
+    with pytest.raises(ValueError, match="finite"):
+        quad.integrate_lockstep(f, [0.0, a], [1.0, b])
+    with pytest.raises(ValueError, match="finite"):
+        integrate_finite(np.sin, a, b)
+
+
+def test_batched_panel_sums_equal_lone_dot_products():
+    # each panel's Kronrod and Gauss sums must be the lone-row dot product
+    # bit for bit; a matrix product or einsum over all rows sums in another
+    # order and differs in the last bits on about half of such rows
+    rng = np.random.default_rng(20261018)
+    n = 12000
+    rows = rng.standard_normal((n, 15)) * 10.0 ** rng.uniform(-250.0, 250.0, (n, 15))
+    los = rng.uniform(-5.0, 5.0, n).tolist()
+    his = [lo + w for lo, w in zip(los, rng.uniform(1e-3, 5.0, n))]
+    vals, errs = quad._estimates(lambda nodes, owners: rows.ravel(), list(range(n)), los, his)
+    for lo, hi, row, val, err in zip(los, his, rows, vals, errs):
+        half = 0.5 * (hi - lo)
+        k15 = half * float(quad._WK @ row)
+        assert val == k15
+        assert err == abs(k15 - half * float(quad._WG @ row[1::2]))
+
+
+# Recorded before the panel sums were batched with np.vecdot; any change to
+# the engine that moves a last bit shows here first.
+def test_lockstep_results_pinned():
+    got = quad.integrate_lockstep(_stacked(LOCKSTEP_CASES), [c[1] for c in LOCKSTEP_CASES],
+                                  [c[2] for c in LOCKSTEP_CASES])
+    assert [repr(v) for v in got] == [
+        "2.0000000000000004", "0.4842354014789664", "1.8856180831641625", "0.0",
+        "98.01289480295979",
+    ]
+
+
+WEIGHTS_PINNED = {
+    0.37: [
+        "4.545210881771869", "18.021578818782356", "29.586308972434942", "42.83470884178661",
+        "54.84976339478432", "67.85418331793213", "80.04443768121608", "92.93058909812002",
+        "105.21222814833028", "118.02986747788937", "130.36734943834253", "143.14049765861034",
+        "155.5155758445092", "168.2575593651517", "180.65965367847235", "193.37860978379402",
+    ],
+    -4.0: [
+        "18.442834883750066", "91.22725370260532", "40.22904546041882", "72.66880341571171",
+        "69.18323221869862", "92.13613540086487", "95.5447718561241", "115.09457715642326",
+        "121.26172707501966", "139.08017318358", "146.73174377049688", "163.5045757688573",
+        "172.08289603657815", "188.15653287213195", "197.3681868990183", "212.94159907642617",
+    ],
+}
+
+
+@pytest.mark.parametrize("x", sorted(WEIGHTS_PINNED))
+def test_weight_batch_pinned(x):
+    assert [repr(r.v) for r in weights.weight_v(range(1, 17), x)] == WEIGHTS_PINNED[x]
