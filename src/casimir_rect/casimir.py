@@ -194,13 +194,13 @@ def integral_I2(x_vol: float, N: int = DEFAULT_ORDER) -> float:
     return total
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def theta_volume_rho1(x_vol: float, N: int = DEFAULT_ORDER) -> float:
     """Volume potential on the square, theta_volume(x, 1) = I1(x) + I2(x)."""
     return integral_I1(x_vol) + integral_I2(x_vol, N)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def theta_sc(x: float, N: int = DEFAULT_ORDER) -> float:
     """Surface-corner contribution, rho-independent.
 
@@ -308,15 +308,14 @@ def casimir_amplitude(rho: float) -> float:
     """Finite critical Casimir amplitude, log(eta(i rho))/4.
 
     The equivalent route rho*theta_oo(0) - log Sigma(0, rho) is evaluated
-    as a consistency check whenever the series is in its validity range.
+    as a consistency check whenever the series is in its validity range, to
+    1e-11 plus 1e-14 relative, as the value grows like -pi*rho/48.
     """
-    _require_finite(rho)
-    _require_positive((rho,))
     value = 0.25 * log_dedekind_eta(rho)
     if rho >= 0.5:
         other = (rho * strip.theta_oo(0.0)
                  - math.log(sigma.sigma_series(0.0, rho, DEFAULT_ORDER + 2).value))
-        if abs(value - other) > 1e-11:
+        if abs(value - other) > 1e-11 + 1e-14 * abs(value):
             raise RuntimeError(
                 f"amplitude routes disagree at rho={rho}: {value} vs {other}")
     return value

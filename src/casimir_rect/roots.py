@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "ZeroRecord",
     "RootFindError",
-    "check_mode",
     "eval_char_poly",
     "find_zero",
     "find_zeros",
@@ -40,7 +39,7 @@ class RootFindError(RuntimeError):
 _TOL = 1e-14  # residual tolerance on the dispersion function
 
 
-def check_mode(mu) -> None:
+def _check_mode(mu) -> None:
     """Reject a mode index that is not an integer >= 1 (numpy integers pass)."""
     if not (isinstance(mu, Integral) and mu >= 1):
         raise ValueError(f"mu must be >= 1 and an integer, got {mu!r}")
@@ -161,11 +160,14 @@ def find_zero(mu: int, x: float) -> ZeroRecord:
     -1 <= x <= 0 in [(mu-1)pi, (mu-1/2)pi]; for x < -1 the same holds for
     mu >= 2 while the first zero is imaginary and solved through
     y*coth(y) = -x.  Bisection refined by safeguarded Newton, residual
-    tolerance _TOL on the dispersion function.
+    tolerance _TOL on the dispersion function.  OverflowError beyond
+    |x| = 1.34e154, where x^2 overflows.
     """
-    check_mode(mu)
+    _check_mode(mu)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
+    if x * x == math.inf:
+        raise OverflowError(f"zero mu={mu} at x={x}: x^2 overflows the doubles")
     sigma = 1 if mu % 2 == 1 else -1
     if x == 0.0:
         f0 = (mu - 0.5) * math.pi
@@ -190,7 +192,7 @@ def find_zero(mu: int, x: float) -> ZeroRecord:
     return ZeroRecord(mu=mu, sigma=sigma, phi_sq=phi_sq, gamma=gamma)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def zero_cached(mu: int, x: float) -> ZeroRecord:
     """Memoized find_zero (shared across modules)."""
     return find_zero(mu, x)
@@ -249,7 +251,7 @@ def zero_series_approx(mu: int, x: float, order: int) -> float:
     Accuracy improves with mu; for small mu and large |x| the series
     degrades gracefully.
     """
-    check_mode(mu)
+    _check_mode(mu)
     if order < 0:
         raise ValueError("order must be >= 0")
     if not math.isfinite(x):

@@ -62,7 +62,7 @@ def _balanced(s) -> bool:
     return sum(1 for m in s if m % 2 == 1) == sum(1 for m in s if m % 2 == 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_sets(n: int) -> tuple[tuple[int, ...], ...]:
     """All balanced index sets with half-integer weight sum 2n.
 
@@ -110,7 +110,7 @@ def amplitude(s, x: float) -> SubsetTerm:
     return SubsetTerm(a=a, gamma_sum=math.fsum(z.gamma for z in zs))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def _terms_up_to(x: float, N: int) -> tuple[SubsetTerm, ...]:
     out: list[SubsetTerm] = []
     for n in range(1, N + 1):

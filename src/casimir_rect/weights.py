@@ -179,8 +179,6 @@ def weight_v_closed_x0(mu: int) -> WeightRecord:
 
     F0 = (mu - 1/2) pi and sigma are the x = 0 zero's, from roots.
     """
-    # checked here because the cache would serve mu = 3.0 the record of mu = 3
-    roots.check_mode(mu)
     zero = roots.zero_cached(mu, 0.0)
     ratio = euler_beta(mu / 2.0, 0.5) / (math.sqrt(2.0) * math.pi)
     v = 4.0 * zero.gamma ** (1 + zero.sigma) * ratio ** (2 * zero.sigma)
@@ -203,7 +201,7 @@ def batch_size(m: int) -> int:
     return MODE_BLOCK * -(-m // MODE_BLOCK)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def weight_cached(x: float, n: int) -> tuple[float, ...]:
     """Memoized weights v_1..v_n(x), one batch per (x, n).
 

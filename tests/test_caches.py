@@ -1,4 +1,7 @@
-"""The float-keyed caches are bounded, so memory stays flat in a long run."""
+"""The float-keyed caches are bounded, so memory stays flat in a long run,
+and typed, so a float never reads the entry of an equal int."""
+
+import pytest
 
 from casimir_rect import casimir, roots, sigma, weights
 
@@ -27,3 +30,21 @@ def test_zero_cache_stays_within_bound():
     for k in range(5000):
         roots.zero_cached(1, 1.0 + k * 1e-6)
     assert roots.zero_cached.cache_info().currsize <= 4096
+
+
+def test_caches_are_typed():
+    for cached in (*BOUNDED, sigma.enumerate_sets):
+        assert cached.cache_parameters()["typed"] is True
+
+
+@pytest.mark.parametrize("warm, call", [
+    (lambda: roots.zero_cached(3, 0.5), lambda: roots.zero_cached(3.0, 0.5)),
+    (lambda: sigma.enumerate_sets(3), lambda: sigma.enumerate_sets(3.0)),
+    (lambda: casimir.theta_sc(0.5, 8), lambda: casimir.theta_sc(0.5, 8.0)),
+    (lambda: weights.weight_v_closed_x0(3), lambda: weights.weight_v_closed_x0(3.0)),
+], ids=["zero_cached", "enumerate_sets", "theta_sc", "weight_v_closed_x0"])
+def test_warm_cache_still_rejects_a_float_index(warm, call):
+    # the int entry is cached first; an untyped cache would serve it
+    warm()
+    with pytest.raises((ValueError, TypeError)):
+        call()

@@ -339,9 +339,11 @@ class TestAmplitude:
                 0.25 * log_dedekind_eta(rho), abs=1e-15)
 
     def test_two_route_agreement_internal(self):
-        # the function itself raises if the routes disagree beyond 1e-11
-        for rho in (1.0, 1.3, 2.0):
-            casimir_amplitude(rho)
+        # the function itself raises if the routes disagree beyond
+        # 1e-11 + 1e-14 |value|; the value grows like -pi rho/48
+        for rho in (1.0, 1.3, 2.0, 1e6, 1e10, 1e200):
+            assert casimir_amplitude(rho) == pytest.approx(
+                0.25 * log_dedekind_eta(rho), abs=1e-15)
 
     def test_large_rho_leading_term(self):
         rho = 12.0

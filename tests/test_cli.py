@@ -142,6 +142,17 @@ class TestCommands:
         assert float(rows["v1_x_neg1"]) == pytest.approx(6.39303337215, abs=1e-10)
         assert float(rows["rho_0"]) == pytest.approx(0.523521700018, abs=1e-12)
 
+    def test_critical_whole_rho_axis(self, capsys):
+        # below rho = 1 the q-series go through the modular relations; at
+        # large rho the amplitude's route check scales with the value
+        code, out = run_cli(capsys, ["critical", "--rho", "1e-3", "--rho", "1e-4",
+                                     "--rho", "1e6"])
+        assert code == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.strip().split("\n")[1:]]
+        assert [row[0] for row in rows] == [1e-3, 1e-4, 1e6]
+        assert all(math.isfinite(v) for row in rows for v in row)
+        assert rows[1][2] == pytest.approx(-2613.388707805506274 / 4.0, rel=1e-13)
+
 
 class TestGridColumns:
     """The grid commands evaluate x-outer but print the point functions' values."""
@@ -263,11 +274,15 @@ class TestExitCodes:
         (["vartheta-table", "--x-min", "-1", "--x-max", "1", "--steps", "3", "--rho", "inf"], 1),
         (["theta-table", "--x-min", "1", "--x-max", "2", "--steps", "2", "--rho", "nan"], 1),
         (["critical", "--rho", "inf"], 1),
+        # sigma0 = exp(pi/(48 rho)) overflows: a numerical failure
+        (["critical", "--rho", "1e-300"], 2),
         (["effspin-check", "--x", "nan", "--rho", "1"], 1),
         # exp overflow in the weight prefactor: a numerical failure
         (["vartheta-table", "--x-min", "-360", "--x-max", "-360", "--steps", "1",
           "--rho", "1"], 2),
         (["weights", "--x", "-360", "--count", "4"], 2),
+        # x^2 overflows in the zeros
+        (["zeros", "--x", "1e300", "--count", "2"], 2),
         # counts, orders and aspect ratios must be positive, even where no
         # library call would check them (the x = 0 row of the potential)
         (["weights", "--x", "1", "--count", "0"], 1),
@@ -305,7 +320,7 @@ class TestExitCodes:
         assert capsys.readouterr().out.splitlines()[1] == "100000,1,0"
 
     def test_weight_overflow_prints_one_line(self, capsys):
-        # x^2 overflows in the weight integrand at x = 1e300; the failure is
+        # x^2 overflows in the first zero at x = 1e300; the failure is
         # reported once, with no numpy overflow warning ahead of it
         argv = ["vartheta-table", "--x-min", "1e300", "--x-max", "1e300", "--steps", "1",
                 "--rho", "1"]
@@ -314,7 +329,7 @@ class TestExitCodes:
             assert cli.main(argv) == 2
         assert caught == []
         err = capsys.readouterr().err
-        assert err == "numerical failure: non-finite integrand value in panel [0.0, 1e+300]\n"
+        assert err == "numerical failure: zero mu=1 at x=1e+300: x^2 overflows the doubles\n"
 
     def test_division_by_zero_prints_one_line(self, capsys):
         argv = ["theta-table", "--x-min=-1000", "--x-max=-1000", "--steps", "1", "--rho", "1"]

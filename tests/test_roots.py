@@ -166,3 +166,16 @@ def test_input_validation():
         find_zero(0, 1.0)
     with pytest.raises(ValueError):
         find_zeros(0, 1.0)
+
+
+@pytest.mark.parametrize("mu, x", [(2, 1.4e154), (1, -1.4e154), (1, 1e300), (3, -1e300)])
+def test_overflowing_square_raises(mu, x):
+    # gamma^2 = x^2 + phi_sq, or phi_sq = -y^2 of the imaginary zero, overflows
+    with pytest.raises(OverflowError, match=f"zero mu={mu} at x="):
+        find_zero(mu, x)
+
+
+@pytest.mark.parametrize("mu, x", [(2, 1.34e154), (1, -1.34e154)])
+def test_largest_finite_square(mu, x):
+    record = find_zero(mu, x)
+    assert math.isfinite(record.phi_sq) and math.isfinite(record.gamma)

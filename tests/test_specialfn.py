@@ -6,7 +6,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from casimir_rect import specialfn
 from casimir_rect.specialfn import (
     catalan_constant,
     dilog,
@@ -19,6 +18,13 @@ from casimir_rect.specialfn import (
 )
 
 PI = math.pi
+
+# log eta(i rho) and E2(i rho) from tests/mp_qseries.py (30 digits, printed to 20)
+MP_QSERIES = {
+    1e-2: (-23.87735368692089797, -9809.0140682897255971),
+    1e-3: (-258.34551015965836801, -998090.14068289725597),
+    1e-4: (-2613.388707805506274, -99980901.40682897256),
+}
 
 
 class TestDilog:
@@ -120,11 +126,28 @@ class TestQSeries:
         rhs = PI / 48.0 * (eisenstein_E2(rho) - 1.0)
         assert lhs == pytest.approx(rhs, abs=1e-14)
 
-    def test_tail_bound_violation_raises(self, monkeypatch):
-        # a real raise, so the check survives python -O
-        monkeypatch.setattr(specialfn, "_tail_bound", lambda q, n: math.inf)
-        with pytest.raises(RuntimeError, match="tail bound"):
-            eisenstein_E2(1.0)
+    @pytest.mark.parametrize("rho", sorted(MP_QSERIES))
+    def test_small_rho_vs_direct_series(self, rho):
+        # below rho = 1 the library goes through the modular relations; the
+        # oracle sums the q-series at q = exp(-2 pi rho) itself
+        eta, e2 = MP_QSERIES[rho]
+        assert log_dedekind_eta(rho) == pytest.approx(eta, rel=1e-13)
+        assert log_q_pochhammer(rho) == pytest.approx(eta + PI * rho / 12.0, rel=1e-13)
+        assert eisenstein_E2(rho) == pytest.approx(e2, rel=1e-13)
+
+    def test_overflow_raises(self):
+        # E2 ~ -1/rho^2 leaves the doubles below rho ~ 7.5e-155, eta ~ -pi/(12 rho)
+        # only where 1/rho does, and -pi rho/12 above rho ~ 5.7e307
+        assert math.isfinite(eisenstein_E2(1e-154))
+        assert math.isfinite(log_dedekind_eta(1e-300))
+        with pytest.raises(OverflowError):
+            eisenstein_E2(1e-155)
+        with pytest.raises(OverflowError):
+            log_dedekind_eta(1e308)
+        for rho in (5e-309, 5e-324):
+            for f in (eisenstein_E2, log_dedekind_eta, log_q_pochhammer):
+                with pytest.raises(OverflowError):
+                    f(rho)
 
 
 class TestCatalan:
