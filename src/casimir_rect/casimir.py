@@ -147,7 +147,7 @@ def integral_I1(x_vol: float) -> float:
 _I2_SPLIT = 4.0
 
 
-def integral_I2(x_vol: float, N: int = DEFAULT_ORDER) -> float:
+def integral_I2(x_vol: float) -> float:
     """Integral of the unit-aspect strip force against the log kernel.
 
     I2 = psi(0,1) log(1+x^-2)
@@ -162,21 +162,21 @@ def integral_I2(x_vol: float, N: int = DEFAULT_ORDER) -> float:
     -log 2; together with the changed limit this produces the jump
     2C - (3/2) log 2 across x_vol = 0 (C = Catalan's constant).  For
     |x| < 1 the log term is log1p(x^2) - 2 log|x|, since x^-2 overflows
-    near x = 0.
+    near x = 0.  psi(xi, 1) is the series at DEFAULT_ORDER, as for theta_sc.
     """
     _require_finite(x_vol)
     if x_vol == 0.0:
         raise ValueError("logarithmically divergent at x_vol = 0")
     sgn = 1.0 if x_vol > 0.0 else -1.0
     h = abs(x_vol)
-    psi0 = sigma.psi_strip(0.0, 1.0, N)
+    psi0 = sigma.psi_strip(0.0, 1.0, DEFAULT_ORDER)
     log_term = math.log1p(h * h) - 2.0 * math.log(h) if h < 1.0 else math.log1p(1.0 / (h * h))
     total = psi0 * log_term
     if x_vol < 0.0:
         total -= math.log(2.0)
 
     def psi1(eta: np.ndarray) -> np.ndarray:
-        return np.array([sigma.psi_strip(sgn * e, 1.0, N) for e in eta])
+        return np.array([sigma.psi_strip(sgn * e, 1.0, DEFAULT_ORDER) for e in eta])
 
     def far(eta: np.ndarray) -> np.ndarray:
         return 2.0 * psi1(eta) / eta
@@ -195,16 +195,16 @@ def integral_I2(x_vol: float, N: int = DEFAULT_ORDER) -> float:
 
 
 @lru_cache(maxsize=256, typed=True)
-def theta_volume_rho1(x_vol: float, N: int = DEFAULT_ORDER) -> float:
+def theta_volume_rho1(x_vol: float) -> float:
     """Volume potential on the square, theta_volume(x, 1) = I1(x) + I2(x)."""
-    return integral_I1(x_vol) + integral_I2(x_vol, N)
+    return integral_I1(x_vol) + integral_I2(x_vol)
 
 
 @lru_cache(maxsize=256, typed=True)
-def theta_sc(x: float, N: int = DEFAULT_ORDER) -> float:
-    """Surface-corner contribution, rho-independent.
+def theta_sc(x: float) -> float:
+    """Surface-corner contribution, a function of x alone, cached per x.
 
-    Assembled at unit aspect ratio:
+    Assembled at unit aspect ratio, the series at DEFAULT_ORDER (bound 1.5e-22):
     theta_sc(x) = -theta_oo(x) + log Sigma(x, 1) + theta_volume(x, 1).
     Carries the -log|x|/8 divergence and the -(3/4) log 2 * sign(x) jump;
     tends to -log 2 for x -> -inf and to 0 for x -> +inf.
@@ -212,8 +212,8 @@ def theta_sc(x: float, N: int = DEFAULT_ORDER) -> float:
     _require_finite(x)
     if x == 0.0:
         raise ValueError("logarithmically divergent at x = 0")
-    return (-strip.theta_oo(x) + math.log(sigma.sigma_series(x, 1.0, N).value)
-            + theta_volume_rho1(x, N))
+    return (-strip.theta_oo(x) + math.log(sigma.sigma_series(x, 1.0, DEFAULT_ORDER).value)
+            + theta_volume_rho1(x))
 
 
 def _x_dPsi_dx(x: float, rho: float, N: int) -> float:
@@ -228,18 +228,18 @@ def _x_dPsi_dx(x: float, rho: float, N: int) -> float:
     return x * ((4.0 * d(h / 2.0) - d(h)) / 3.0)
 
 
-def x_dtheta_sc(x: float, N: int = DEFAULT_ORDER) -> float:
+def x_dtheta_sc(x: float) -> float:
     """The finite combination x * theta_sc'(x).
 
     From the square symmetry,
     x theta_sc'(x) = theta_oo(x) + vartheta_oo(x) - 2 psi(x,1)
                      - x dPsi/dx(x,1);
     unlike theta_sc itself this stays finite at x = 0, where it equals
-    -1/8 (the corner log amplitude).
+    -1/8 (the corner log amplitude).  Like theta_sc, at DEFAULT_ORDER.
     """
     _require_finite(x)
-    return (strip.theta_oo(x) + strip.vartheta_oo(x) - 2.0 * sigma.psi_strip(x, 1.0, N)
-            - _x_dPsi_dx(x, 1.0, N))
+    return (strip.theta_oo(x) + strip.vartheta_oo(x) - 2.0 * sigma.psi_strip(x, 1.0, DEFAULT_ORDER)
+            - _x_dPsi_dx(x, 1.0, DEFAULT_ORDER))
 
 
 def theta_total(x: float, rho: float, N: int = DEFAULT_ORDER) -> float:
@@ -256,14 +256,14 @@ def theta_column(x: float, rhos: Sequence[float], N: int = DEFAULT_ORDER) -> lis
     """theta_total(x, rho) for each rho, with theta_oo(x) evaluated once.
 
     The strip part is computed only when some rho >= 1 needs it; rho < 1
-    goes through the exchange symmetry at each rho.
+    goes through the exchange symmetry at each rho.  N truncates only Psi.
     """
     _require_finite(x, *rhos)
     if x == 0.0:
         raise ValueError("divergent at x = 0; see casimir_amplitude")
     _require_positive(rhos)
     oo = strip.theta_oo(x) if any(rho >= 1.0 for rho in rhos) else None
-    return [oo + theta_sc(x, N) / rho + sigma.Psi(x, rho, N) if rho >= 1.0
+    return [oo + theta_sc(x) / rho + sigma.Psi(x, rho, N) if rho >= 1.0
             else theta_total(x * rho, 1.0 / rho, N) / (rho * rho)
             for rho in rhos]
 
@@ -286,8 +286,8 @@ def vartheta_column(x: float, rhos: Sequence[float],
                     N: int = DEFAULT_ORDER) -> list[float]:
     """vartheta_total(x, rho) for each rho, with theta_oo(x) evaluated once.
 
-    The strip part is computed only when some rho >= 1 needs it; only the
-    series term psi(x, rho) is evaluated per rho there.
+    The strip part is computed only when some rho >= 1 needs it, and only
+    psi(x, rho) per rho there; N truncates only the rho-dependent series.
     """
     _require_finite(x, *rhos)
     _require_positive(rhos)
@@ -300,7 +300,7 @@ def vartheta_column(x: float, rhos: Sequence[float],
 def _vartheta_exchanged(x: float, rho: float, N: int) -> float:
     u = x * rho
     w = 1.0 / rho
-    return (strip.vartheta_oo(u) - rho * x_dtheta_sc(u, N) - sigma.psi_strip(u, w, N)
+    return (strip.vartheta_oo(u) - rho * x_dtheta_sc(u) - sigma.psi_strip(u, w, N)
             - _x_dPsi_dx(u, w, N)) / (rho * rho)
 
 

@@ -60,7 +60,7 @@ def _cmd_sigma(p: dict) -> FunctionTable:
 
 def _cmd_theta_table(p: dict) -> FunctionTable:
     xs = _x_grid(p)
-    columns = [None if x == 0.0 else casimir.theta_column(x, p["rho"], p["order"])
+    columns = [None if x == 0.0 else casimir.theta_column(x, p["rho"])
                for x in xs]
     table = FunctionTable(["x", "rho", "theta_total", "note"])
     for i, rho in enumerate(p["rho"]):
@@ -74,7 +74,7 @@ def _cmd_theta_table(p: dict) -> FunctionTable:
 
 def _cmd_vartheta_table(p: dict) -> FunctionTable:
     xs = _x_grid(p)
-    columns = [casimir.vartheta_column(x, p["rho"], p["order"]) for x in xs]
+    columns = [casimir.vartheta_column(x, p["rho"]) for x in xs]
     table = FunctionTable(["x", "rho", "vartheta"])
     for i, rho in enumerate(p["rho"]):
         for x, column in zip(xs, columns):
@@ -87,7 +87,7 @@ def _cmd_critical(p: dict) -> FunctionTable:
     for rho in p["rho"]:
         sigma0 = math.exp(-0.25 * specialfn.log_q_pochhammer(rho))
         table.add_row(rho, sigma0, casimir.casimir_amplitude(rho),
-                      casimir.vartheta_total(0.0, rho, p["order"]),
+                      casimir.vartheta_total(0.0, rho),
                       math.pi / 48.0 * (specialfn.eisenstein_E2(rho) - 1.0))
     return table
 
@@ -195,12 +195,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--steps", type=_positive_int, required=True)
         sp.add_argument("--rho", type=_positive_float, action="append", required=True,
                         help="repeatable")
-        sp.add_argument("--order", type=_positive_int, default=casimir.DEFAULT_ORDER)
         add_common(sp)
 
     sp = sub.add_parser("critical", help="critical-point closed forms")
     sp.add_argument("--rho", type=_positive_float, action="append", required=True)
-    sp.add_argument("--order", type=_positive_int, default=casimir.DEFAULT_ORDER)
     add_common(sp)
 
     sp = sub.add_parser("constants", help="named constants table")

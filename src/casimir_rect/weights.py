@@ -206,6 +206,7 @@ def weight_cached(x: float, n: int) -> tuple[float, ...]:
     """Memoized weights v_1..v_n(x), one batch per (x, n).
 
     The series, determinant and spin modules read it with n = batch_size(m)
-    for their highest mode m, so they share one entry per x.
+    for their highest mode m: 16 for the series to order 8 and the spin
+    model, 32 for the determinant at its default 16 modes, a second entry.
     """
     return tuple(rec.v for rec in weight(range(1, n + 1), x))

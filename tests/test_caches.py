@@ -40,9 +40,8 @@ def test_caches_are_typed():
 @pytest.mark.parametrize("warm, call", [
     (lambda: roots.zero_cached(3, 0.5), lambda: roots.zero_cached(3.0, 0.5)),
     (lambda: sigma.enumerate_sets(3), lambda: sigma.enumerate_sets(3.0)),
-    (lambda: casimir.theta_sc(0.5, 8), lambda: casimir.theta_sc(0.5, 8.0)),
     (lambda: weights.weight_v_closed_x0(3), lambda: weights.weight_v_closed_x0(3.0)),
-], ids=["zero_cached", "enumerate_sets", "theta_sc", "weight_v_closed_x0"])
+], ids=["zero_cached", "enumerate_sets", "weight_v_closed_x0"])
 def test_warm_cache_still_rejects_a_float_index(warm, call):
     # the int entry is cached first; an untyped cache would serve it
     warm()

@@ -221,9 +221,17 @@ class TestThetaTotal:
     @given(x=st.floats(-340.0, 1000.0).filter(lambda v: abs(v) >= 1e-280),
            rho=st.floats(0.05, 50.0))
     def test_finite_on_whole_plane(self, x, rho):
-        # the weights overflow from about x = -350 on, and I1 rejects
-        # |x rho| < 1e-300; neither is swept
+        # the potential overflows from x ~ -346.3 on (see the xfail below), and
+        # I1 rejects |x rho| < 1e-300; neither is swept
         assert math.isfinite(theta_total(x, rho))
+
+    @pytest.mark.xfail(strict=True, raises=OverflowError, reason=(
+        "integral_I2's far tail evaluates psi(-eta, 1) out to the weight overflow at "
+        "eta ~ 356.3, so the potential raises from x ~ -346.3 on, while the force stays "
+        "finite down to x = -355; log-domain weights would make both finite"))
+    def test_finite_between_minus_355_and_minus_346(self):
+        for x in (-347.0, -350.0):
+            assert math.isfinite(theta_total(x, 1.0))
 
     def test_decomposition_identity(self):
         for x, rho in ((-1.5, 1.4), (-1.0, 1.5)):

@@ -22,6 +22,51 @@ WORKLOADS = {
 }
 
 
+# stdout of the commands that no benchmark workload runs, recorded byte for byte
+COMMAND_PINS = {
+    "constants": """\
+name,value
+z_critical,0.41421356237309515
+catalan,0.91596559417721901
+theta_oo_0,-0.065449846949787366
+psi_0_1,-0.0029498469497873606
+vartheta_0_1,0.0625
+rho_0,0.52352170001799925
+v1_x_neg1,6.3930333721505672
+surface_critical,0.18173141698440587
+corner_constant,-0.19322651899666837
+""",
+    "rho0": "0.523521700018\n",
+    "critical --rho 0.6 --rho 1 --rho 2": """\
+rho,sigma0,Delta0,vartheta0,psi0
+0.59999999999999998,1.0059848854635356,-0.045236955344429036,0.026651778621192349,\
+-0.038798068328594983
+1,1.0004682802214078,-0.065918017562229494,0.0625,-0.0029498469497873585
+2,1.0000008718405298,-0.13090056573972436,0.065444368987913698,-5.4779618736597929e-06
+""",
+    "sigma --x 1 --rho 1": """\
+x,rho,sigma_series,sigma_det,Psi,psi
+1,1,1.0001092023681146,1.0001092023681144,-0.00010919640597007347,-0.00079798944065437305
+""",
+    "effspin-check --x 1 --rho 1": """\
+n_spins,z_eff,sigma_matched,z_diff,magnetization,psi
+8,1.0001092023681144,1.0001092023681146,2.2204460492503131e-16,0.00079798944065243862,\
+-0.00079798934172050674
+""",
+    "weights --x=-1 --count 8": """\
+mu,v,method
+1,6.3930333721505672,special_x_neg1
+2,26.40982501291953,contour
+3,34.2599459593375,contour
+4,49.269572135026849,contour
+5,59.908350781238624,contour
+6,73.903507103481459,contour
+7,85.240775632751991,contour
+8,98.815976136823636,contour
+""",
+}
+
+
 class TestTables:
     def test_empty_table_renders_header_only(self):
         t = FunctionTable(["a", "b"])
@@ -153,6 +198,13 @@ class TestCommands:
         assert all(math.isfinite(v) for row in rows for v in row)
         assert rows[1][2] == pytest.approx(-2613.388707805506274 / 4.0, rel=1e-13)
 
+    def test_critical_at_the_largest_rho(self, capsys):
+        # log eta(i rho) ~ -pi rho/12 is a double although pi*rho is not
+        code, out = run_cli(capsys, ["critical", "--rho", "1e308"])
+        assert code == 0
+        row = [float(v) for v in out.strip().split("\n")[1].split(",")]
+        assert row[2] == pytest.approx(-math.pi / 48.0 * 1e308, rel=1e-15)
+
 
 class TestGridColumns:
     """The grid commands evaluate x-outer but print the point functions' values."""
@@ -234,6 +286,10 @@ class TestDeterminismAndFormats:
         assert code == 0
         assert out == (REFERENCE / f"{name}.csv").read_text()
 
+    @pytest.mark.parametrize("command", sorted(COMMAND_PINS))
+    def test_command_matches_pinned_output(self, capsys, command):
+        assert run_cli(capsys, command.split()) == (0, COMMAND_PINS[command])
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
         code, out = run_cli(capsys, ["zeros", "--x", "1", "--output", str(path)])
@@ -288,6 +344,8 @@ class TestExitCodes:
         (["weights", "--x", "1", "--count", "0"], 1),
         (["weights", "--x", "1", "--count", "-3"], 1),
         (["theta-table", "--x-min", "0", "--x-max", "0", "--steps", "1", "--rho", "-1"], 1),
+        (["sigma", "--x", "1", "--rho", "1", "--order", "0"], 1),
+        # the grid and critical commands take no --order: an unrecognized argument
         (["theta-table", "--x-min", "0", "--x-max", "0", "--steps", "1", "--rho", "1",
           "--order", "0"], 1),
     ], ids=lambda v: "_".join(v) if isinstance(v, list) else None)

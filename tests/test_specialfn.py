@@ -137,17 +137,29 @@ class TestQSeries:
 
     def test_overflow_raises(self):
         # E2 ~ -1/rho^2 leaves the doubles below rho ~ 7.5e-155, eta ~ -pi/(12 rho)
-        # only where 1/rho does, and -pi rho/12 above rho ~ 5.7e307
+        # only below rho ~ 1.46e-309
         assert math.isfinite(eisenstein_E2(1e-154))
         assert math.isfinite(log_dedekind_eta(1e-300))
         with pytest.raises(OverflowError):
             eisenstein_E2(1e-155)
-        with pytest.raises(OverflowError):
-            log_dedekind_eta(1e308)
-        for rho in (5e-309, 5e-324):
+        for rho in (1.45e-309, 5e-324):
             for f in (eisenstein_E2, log_dedekind_eta, log_q_pochhammer):
-                with pytest.raises(OverflowError):
+                with pytest.raises(OverflowError, match=f"at rho = {rho}"):  # the caller's rho
                     f(rho)
+
+    @pytest.mark.parametrize("rho, value", [
+        (1e308, -2.6179938779914943e307),
+        (1.7976931348623157e308, -4.70634962157688e307),
+        (1e-308, -2.6179938779914943e307),
+        (3e-309, -8.726646259971646e307),
+        (1.46e-309, -1.793146491774993e308),
+    ])
+    def test_eta_finite_wherever_its_value_is(self, rho, value):
+        # -pi rho/12 and -pi/(12 rho) are doubles although pi*rho and 1/rho
+        # overflow; the modular route adds -log(rho)/2 ~ 355 below rho = 1
+        assert log_dedekind_eta(rho) == value
+        assert log_dedekind_eta(rho) == pytest.approx(
+            -PI * (rho / 12.0 if rho > 1.0 else 1.0 / 12.0 / rho), rel=1e-13)
 
 
 class TestCatalan:
