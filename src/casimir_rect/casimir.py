@@ -163,6 +163,10 @@ def integral_I2(x_vol: float) -> float:
     2C - (3/2) log 2 across x_vol = 0 (C = Catalan's constant).  For
     |x| < 1 the log term is log1p(x^2) - 2 log|x|, since x^-2 overflows
     near x = 0.  psi(xi, 1) is the series at DEFAULT_ORDER, as for theta_sc.
+    Its nodes are used once, so each integrand call evaluates psi at all of
+    its nodes as one uncached batch (sigma.psi_strip_batch), bit for bit
+    psi_strip's values, and raises what psi_strip raises at the first
+    failing node.
     """
     _require_finite(x_vol)
     if x_vol == 0.0:
@@ -176,7 +180,7 @@ def integral_I2(x_vol: float) -> float:
         total -= math.log(2.0)
 
     def psi1(eta: np.ndarray) -> np.ndarray:
-        return np.array([sigma.psi_strip(sgn * e, 1.0, DEFAULT_ORDER) for e in eta])
+        return np.array(sigma.psi_strip_batch((sgn * eta).tolist(), 1.0, DEFAULT_ORDER))
 
     def far(eta: np.ndarray) -> np.ndarray:
         return 2.0 * psi1(eta) / eta

@@ -18,7 +18,8 @@ its own panels, tolerance test and limits, bisects its own worst panel,
 and the halves of all of them go to the integrand in one call, with an
 array saying which integral each node belongs to.  integrate_finite is its
 one-integral case; the sqrt-singularity and sinh-map routes have lockstep
-forms for integrands that share one kernel, such as the mode weights.
+forms, each integral with its own end point or scale, for integrands that
+share one kernel, such as the mode weights.
 np.vecdot takes each panel row's sums with the same dot product as for a
 panel evaluated alone; a matrix product over all rows sums in another order
 and changes the last bits, so lockstep results would differ from lone ones.
@@ -205,13 +206,15 @@ def integrate_finite(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC)
     return integrate_lockstep(_one(f), [a], [b], spec)[0]
 
 
-def _truncation_points(f, start: float, count: int, spec: QuadratureSpec) -> list[float]:
-    """Per integral, a point T so that an e^{-t} tail beyond it is below abs_tol/10."""
-    probes = start + np.array([0.25, 1.0, 2.0])
-    owners = np.repeat(np.arange(count), probes.size)
-    mags = np.abs(f(np.tile(probes, count), owners)).reshape(count, probes.size)
+def _truncation_points(f, starts, spec: QuadratureSpec) -> list[float]:
+    """Per integral i, a point T beyond starts[i] so that an e^{-t} tail beyond
+    it is below abs_tol/10."""
+    starts = np.asarray(starts, dtype=float)
+    probes = starts[:, None] + np.array([0.25, 1.0, 2.0])
+    owners = np.arange(starts.size).repeat(3)
+    mags = np.abs(f(probes.ravel(), owners)).reshape(probes.shape)
     return [start + max(10.0, math.log(10.0 * (float(np.max(m)) + spec.abs_tol) / spec.abs_tol))
-            for m in mags]
+            for start, m in zip(starts.tolist(), mags)]
 
 
 def integrate_semi_infinite(f, a: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
@@ -221,23 +224,23 @@ def integrate_semi_infinite(f, a: float, spec: QuadratureSpec = DEFAULT_SPEC) ->
     the range magnitude estimated from f at three probe points, then handed
     to integrate_finite.
     """
-    T = _truncation_points(_one(f), a, 1, spec)[0]
+    T = _truncation_points(_one(f), [a], spec)[0]
     return integrate_finite(f, a, T, spec)
 
 
-def integrate_sqrt_singularity_lockstep(g, x_abs: float, count: int,
+def integrate_sqrt_singularity_lockstep(g, x_abs,
                                         spec: QuadratureSpec = DEFAULT_SPEC) -> list[float]:
-    """Integrate count integrands g(s, owners) over (0, infinity) in lockstep.
+    """Integrate len(x_abs) integrands g(s, owners) over (0, infinity) in lockstep.
 
     The caller has already substituted t = sqrt(x^2 + s^2), so g(s) is
-    regular at s = 0.  x_abs shifts the truncation points outward: in the
-    substituted variable the exponential decay only sets in for s beyond
-    roughly x_abs.  Each integral gets its own truncation point.
+    regular at s = 0.  x_abs[i] shifts integral i's truncation point
+    outward: in the substituted variable the exponential decay only sets in
+    for s beyond roughly x_abs[i].
     """
-    if x_abs < 0:
+    if any(v < 0.0 for v in x_abs):
         raise ValueError("x_abs must be >= 0")
-    upper = _truncation_points(g, x_abs, count, spec)
-    return integrate_lockstep(g, [0.0] * count, upper, spec)
+    upper = _truncation_points(g, x_abs, spec)
+    return integrate_lockstep(g, [0.0] * len(upper), upper, spec)
 
 
 def integrate_sqrt_singularity(g, x_abs: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
@@ -245,16 +248,7 @@ def integrate_sqrt_singularity(g, x_abs: float, spec: QuadratureSpec = DEFAULT_S
 
     The one-integral case of integrate_sqrt_singularity_lockstep.
     """
-    return integrate_sqrt_singularity_lockstep(_one(g), x_abs, 1, spec)[0]
-
-
-def _sinh_map(f, scale: float, upper: float):
-    """Integrand and upper limit in u after the substitution w = scale*sinh(u)."""
-
-    def transformed(u: np.ndarray, *owners) -> np.ndarray:
-        return f(scale * np.sinh(u), *owners) * scale * np.cosh(u)
-
-    return transformed, math.asinh(upper / scale)
+    return integrate_sqrt_singularity_lockstep(_one(g), [x_abs], spec)[0]
 
 
 def integrate_sinh_map(f, scale: float, upper: float,
@@ -264,14 +258,24 @@ def integrate_sinh_map(f, scale: float, upper: float,
     Nodes crowd into the layer w < scale, so an endpoint feature of that
     width (a log singularity, a narrow spike) becomes O(1) in u.
     """
-    transformed, top = _sinh_map(f, scale, upper)
+
+    def transformed(u: np.ndarray) -> np.ndarray:
+        return f(scale * np.sinh(u)) * scale * np.cosh(u)
+
     # through integrate_finite, so the benchmark's traced run, which wraps
     # that entry point, still counts the strip integrals under quad.*
-    return integrate_finite(transformed, 0.0, top, spec)
+    return integrate_finite(transformed, 0.0, math.asinh(upper / scale), spec)
 
 
-def integrate_sinh_map_lockstep(f, scale: float, upper: float, count: int,
+def integrate_sinh_map_lockstep(f, scale, upper,
                                 spec: QuadratureSpec = DEFAULT_SPEC) -> list[float]:
-    """integrate_sinh_map for count integrands f(w, owners) in lockstep."""
-    transformed, top = _sinh_map(f, scale, upper)
-    return integrate_lockstep(transformed, [0.0] * count, [top] * count, spec)
+    """integrate_sinh_map for len(scale) integrands f(w, owners) in lockstep,
+    integral i with its own scale[i] and upper[i]."""
+    scale = np.asarray(scale, dtype=float)
+
+    def transformed(u: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        c = scale[owners]
+        return f(c * np.sinh(u), owners) * c * np.cosh(u)
+
+    tops = [math.asinh(float(hi) / c) for c, hi in zip(scale.tolist(), upper)]
+    return integrate_lockstep(transformed, [0.0] * len(tops), tops, spec)

@@ -13,7 +13,8 @@ the stated exponential accuracy is one of the package's main cross-checks.
 
 Also provided: the potential scaling function Psi = -log(Sigma)/rho and the
 strip force psi = d(log Sigma)/d(rho), the latter with the rho-derivative
-taken analytically on the series.
+taken analytically on the series; psi_strip_batch gives psi at many x that
+are used once, past the caches.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
 from . import roots
-from .weights import batch_size, weight_cached
+from .weights import batch_size, weight_batch, weight_cached
 
 __all__ = [
     "SubsetTerm",
@@ -36,6 +38,7 @@ __all__ = [
     "sigma_det",
     "Psi",
     "psi_strip",
+    "psi_strip_batch",
     "critical_series_coefficients",
 ]
 
@@ -110,15 +113,54 @@ def amplitude(s, x: float) -> SubsetTerm:
     return SubsetTerm(a=a, gamma_sum=math.fsum(z.gamma for z in zs))
 
 
-@lru_cache(maxsize=256, typed=True)
-def _terms_up_to(x: float, N: int) -> tuple[SubsetTerm, ...]:
-    out: list[SubsetTerm] = []
+@lru_cache(maxsize=None, typed=True)
+def _plan(N: int):
+    """Index plan of the series terms to order N, made once from enumerate_sets.
+
+    The mode pairs (m, k, 2 sigma_m sigma_k), 0-based with m < k, in order of
+    first use; and per order and set, getters of the set's factors from
+    [pair factors..., v_1, v_2, ...] (amplitude's order) and of its gammas.
+    """
+    pairs: dict[tuple[int, int], int] = {}
+    orders = []
     for n in range(1, N + 1):
-        group = [amplitude(s, x) for s in enumerate_sets(n)]
-        # smallest exponent last for stable accumulation
-        group.sort(key=lambda t: -t.gamma_sum)
-        out.extend(group)
-    return tuple(out)
+        plans = []
+        for s in enumerate_sets(n):
+            modes = [m - 1 for m in s]
+            plans.append(([pairs.setdefault((m, k), len(pairs))
+                           for i, m in enumerate(modes) for k in modes[i + 1:]], modes))
+        orders.append(plans)
+    factors = [(m, k, 2 if (k - m) % 2 == 0 else -2) for m, k in pairs]
+    return factors, [[(itemgetter(*idx, *(len(factors) + m for m in modes)), itemgetter(*modes))
+                      for idx, modes in plans] for plans in orders]
+
+
+def _build_terms(zeros, vs, N: int) -> list[tuple[float, float]]:
+    """The series terms (a_s, Gamma_s) to order N from the zeros and weights
+    v_1, v_2, ... of modes 1..2N at one x, bit for bit amplitude's values;
+    within an order by decreasing Gamma_s, so the smallest is added last."""
+    pairs, orders = _plan(N)
+    factors = [(zeros[m].phi_sq - zeros[k].phi_sq) ** e for m, k, e in pairs]
+    factors += vs
+    gammas = [z.gamma for z in zeros]
+    out = []
+    for plans in orders:
+        group = [(math.prod(take(factors)), math.fsum(take_gammas(gammas)))
+                 for take, take_gammas in plans]
+        group.sort(key=lambda term: -term[1])
+        out += group
+    return out
+
+
+@lru_cache(maxsize=256, typed=True)
+def _terms_up_to(x: float, N: int) -> tuple[tuple[float, float], ...]:
+    zeros = [roots.zero_cached(m, x) for m in range(1, 2 * N + 1)]
+    return tuple(_build_terms(zeros, weight_cached(x, batch_size(2 * N)), N))
+
+
+def _require_order(N: int) -> None:
+    if N < 1:
+        raise ValueError("N must be >= 1")
 
 
 def _require_rho(rho: float) -> None:
@@ -129,19 +171,22 @@ def _require_rho(rho: float) -> None:
         )
 
 
-def _series_sums(x: float, rho: float, N: int) -> tuple[float, float]:
+def _sums(terms, rho: float) -> tuple[float, float]:
     """The force numerator -sum_s Gamma_s a_s exp(-rho Gamma_s) and Sigma^(N),
     accumulated in one pass over the series terms."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    _require_rho(rho)
     num = 0.0
     den = 1.0
-    for term in _terms_up_to(x, N):
-        w = term.a * math.exp(-rho * term.gamma_sum)
-        num -= term.gamma_sum * w
+    for a, gamma_sum in terms:
+        w = a * math.exp(-rho * gamma_sum)
+        num -= gamma_sum * w
         den += w
     return num, den
+
+
+def _series_sums(x: float, rho: float, N: int) -> tuple[float, float]:
+    _require_order(N)
+    _require_rho(rho)
+    return _sums(_terms_up_to(x, N), rho)
 
 
 def sigma_series(x: float, rho: float, N: int) -> SigmaResult:
@@ -194,6 +239,35 @@ def psi_strip(x: float, rho: float, N: int) -> float:
     """
     num, den = _series_sums(x, rho, N)
     return num / den
+
+
+def psi_strip_batch(xs, rho: float, N: int) -> list[float]:
+    """psi_strip(x, rho, N) for each x of xs, bit for bit, past the caches.
+
+    For x used once, such as quadrature nodes: each x's zeros serve both its
+    weights and its terms, and the weights of all x run as one batch.
+    Raises what psi_strip raises at the first x of xs where it fails.
+    """
+    _require_order(N)
+    _require_rho(rho)
+    try:
+        return _psi_batch(xs, rho, N)
+    except (ArithmeticError, RuntimeError, ValueError):
+        # the batch may meet a later x's failure first; x by x, the first
+        # failing x raises what it raises alone
+        for x in xs:
+            _psi_batch([x], rho, N)
+        raise
+
+
+def _psi_batch(xs, rho: float, N: int) -> list[float]:
+    modes = range(1, batch_size(2 * N) + 1)
+    zeros = [[roots.find_zero(m, x) for m in modes] for x in xs]
+    out = []
+    for zs, vs in zip(zeros, weight_batch(xs, zeros)):
+        num, den = _sums(_build_terms(zs, vs, N), rho)
+        out.append(num / den)
+    return out
 
 
 def critical_series_coefficients(N: int) -> list[float]:

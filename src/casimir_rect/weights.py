@@ -22,15 +22,17 @@ diverges logarithmically; the finite combination left over has the log
 factor log(t^2) and its own prefactor.  The closed form at x = 0, through
 the Euler beta function, is the only other route.
 
-The kernel does not depend on the mode; only the log factor does.  So the
-weights of many modes at one x run as one lockstep quadrature
-(quad.integrate_lockstep): every mode keeps its own adaptive panels, and
-each bisection round evaluates the new panels of all modes in one
-integrand call, with the log factor broadcast per row.  The quadrature
-sums each panel with the dot product of a lone panel (np.vecdot), so each
-weight is bit-identical to the weight of its mode computed alone, the
-degenerate one included.  weight_cached holds v_1..v_n per x, one batch
-per entry.
+The kernel depends on x but not on the mode; only the log factor depends
+on the mode.  So the weights of many modes, at one x or at many, run as one
+lockstep quadrature (quad.integrate_lockstep) per route and sign of x:
+every (x, mode) integral keeps its own adaptive panels and end point, and
+each bisection round evaluates the new panels of all of them in one
+integrand call, with x and the log factor broadcast per row.  The
+quadrature sums each panel with the dot product of a lone panel
+(np.vecdot), so each weight is bit-identical to the weight of its mode
+computed alone, the degenerate one included.  weight_v batches the modes
+at one x; weight_batch batches many x, uncached, for abscissae used once.
+weight_cached holds v_1..v_n per x, one batch per entry.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ __all__ = [
     "weight_v",
     "weight_v_closed_x0",
     "weight",
+    "weight_batch",
     "batch_size",
     "weight_cached",
 ]
@@ -80,16 +83,17 @@ def counting_integrand(t, x: float):
     )
 
 
-def _kernel_sub(s: np.ndarray, x: float) -> np.ndarray:
+def _kernel_sub(s: np.ndarray, x) -> np.ndarray:
     """Counting kernel times dt/ds after the substitution t = sqrt(x^2+s^2).
 
-    Evaluates (x - s^2) / (t * cosh t * (t + x tanh t)).  For x < 0 the
-    factor t + x tanh t nearly cancels; it is assembled from the exact
-    pieces s^2/(t+|x|) and 2|x|/(1+e^{2t}), both safe at any magnitude.
+    Evaluates (x - s^2) / (t * cosh t * (t + x tanh t)).  x is one abscissa,
+    or one per node of s, all on the same side of 0.  For x < 0 the factor
+    t + x tanh t nearly cancels; it is assembled from the exact pieces
+    s^2/(t+|x|) and 2|x|/(1+e^{2t}), both safe at any magnitude.
     """
     s = np.asarray(s, dtype=float)
     t = np.hypot(s, x)
-    if x >= 0.0:
+    if np.all(x >= 0.0):
         d = t + x * np.tanh(t)
     else:
         d = s * s / (t - x) + (-2.0 * x) * np.exp(-2.0 * t) / (1.0 + np.exp(-2.0 * t))
@@ -98,28 +102,28 @@ def _kernel_sub(s: np.ndarray, x: float) -> np.ndarray:
     return (x - s * s) * sech / (t * d)
 
 
-def _exponent_integrals(x: float, log_factor, count: int) -> list[float]:
-    """Int_0^inf log_factor(s, owners) * kernel(s) ds for count log factors at once.
+def _exponent_integrals(x: np.ndarray, scale: list[float], log_factor) -> list[float]:
+    """Int_0^inf log_factor(s, owners) * kernel(s; x[i]) ds for every owner i at once.
 
-    The kernel does not depend on the mode, so the count integrals share it
-    and advance in lockstep through one integrand call per round; node
-    placement depends on x only.  For x < -1 the kernel develops a spike of
-    width ~ 2|x| e^{-|x|} at the origin (the scale of the first zero's
-    decay rate); the substitution s = c sinh(v) with c set to that scale
-    makes it an O(1) feature that the adaptive panels resolve at any x.
+    The x[i] share one route and one sign.  The kernel does not depend on
+    the mode, so integrals of many modes and many x advance in lockstep
+    through one integrand call per round; node placement depends on x[i]
+    only.  For x < -1 the kernel develops a spike of width ~ 2|x| e^{-|x|}
+    at the origin (scale[i], the first zero's decay rate); the substitution
+    s = c sinh(v) with c set to that scale makes it an O(1) feature that the
+    adaptive panels resolve at any x.
     """
 
     def integrand(s: np.ndarray, owners: np.ndarray) -> np.ndarray:
-        return log_factor(s, owners) * _kernel_sub(s, x)
+        return log_factor(s, owners) * _kernel_sub(s, x[owners])
 
     # where gamma_1^2 underflows (x <~ -380) or x^2 overflows (x >~ 1e154)
     # the quadrature raises naming the non-finite panel; numpy's warnings
     # would only repeat that on stderr
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if x >= -1.0:
-            return quad.integrate_sqrt_singularity_lockstep(integrand, abs(x), count, WEIGHT_SPEC)
-        c = roots.zero_cached(1, x).gamma
-        return quad.integrate_sinh_map_lockstep(integrand, c, -x + 45.0, count, WEIGHT_SPEC)
+        if x[0] >= -1.0:
+            return quad.integrate_sqrt_singularity_lockstep(integrand, np.abs(x), WEIGHT_SPEC)
+        return quad.integrate_sinh_map_lockstep(integrand, scale, -x + 45.0, WEIGHT_SPEC)
 
 
 def _prefactor(zero: roots.ZeroRecord, x: float) -> float:
@@ -127,36 +131,53 @@ def _prefactor(zero: roots.ZeroRecord, x: float) -> float:
     return 4.0 * (zero.gamma - x) * g2 / (g2 + x)
 
 
-def _contour_weights(modes: tuple[int, ...], x: float) -> list[WeightRecord]:
-    zeros = [roots.zero_cached(mu, x) for mu in modes]
-    # log factor log(1 + (x^2 + s^2)/phi^2) of a real zero; for the imaginary
-    # first zero |1 - t^2/y^2| = (gamma^2 + s^2)/y^2, and the constant i*pi
-    # branch reduces to an overall sign flip; for the degenerate one at
-    # x = -1 it is log(t^2) = log(gamma^2 + s^2) with gamma = 1
-    plain_log = np.array([not z.phi_sq > 0.0 for z in zeros])
-    shift = np.array([z.gamma * z.gamma if pl else x * x for z, pl in zip(zeros, plain_log)])
-    scale = np.array([abs(z.phi_sq) or 1.0 for z in zeros])
+def _contour_weights(xs, zeros) -> list[list[float]]:
+    """Contour weights of the zeros zeros[i], found at xs[i], for each i.
 
-    def log_factor(s: np.ndarray, owners: np.ndarray) -> np.ndarray:
-        ratio = (shift[owners] + s * s) / scale[owners]
-        if not plain_log.any():
-            return np.log1p(ratio)
-        pl = plain_log[owners]
-        out = np.empty_like(ratio)
-        out[~pl] = np.log1p(ratio[~pl])
-        out[pl] = np.log(ratio[pl])
-        return out
+    The (x, mode) integrals run as one lockstep per group of x that share
+    the route and the sign: the sqrt route for x >= -1, the sinh route for
+    x < -1.  Each weight is bit-identical to the one of its mode and x alone.
+    """
+    groups: dict[tuple[bool, bool], list[tuple[int, int]]] = {}
+    for i, x in enumerate(xs):
+        groups.setdefault((x >= -1.0, x >= 0.0), []).extend((i, k) for k in range(len(zeros[i])))
+    out = [[0.0] * len(zs) for zs in zeros]
+    for owners in filter(None, groups.values()):
+        x = [xs[i] for i, _ in owners]
+        zs = [zeros[i][k] for i, k in owners]
+        # log factor log(1 + (x^2 + s^2)/phi^2) of a real zero; for the imaginary
+        # first zero |1 - t^2/y^2| = (gamma^2 + s^2)/y^2, and the constant i*pi
+        # branch reduces to an overall sign flip; for the degenerate one at
+        # x = -1 it is log(t^2) = log(gamma^2 + s^2) with gamma = 1
+        plain_log = np.array([not z.phi_sq > 0.0 for z in zs])
+        shift = np.array([z.gamma * z.gamma if pl else xi * xi
+                          for z, pl, xi in zip(zs, plain_log, x)])
+        scale = np.array([abs(z.phi_sq) or 1.0 for z in zs])
 
-    records = []
-    for mu, zero, integral in zip(modes, zeros, _exponent_integrals(x, log_factor, len(modes))):
-        if zero.phi_sq == 0.0:
-            records.append(WeightRecord(mu=mu, v=12.0 * math.exp(integral / math.pi),
-                                        method="special_x_neg1"))
-            continue
-        expo = zero.sigma / math.pi * integral
-        v = (-1.0 if zero.phi_sq < 0.0 else 1.0) * _prefactor(zero, x) * math.exp(expo)
-        records.append(WeightRecord(mu=mu, v=v, method="contour"))
-    return records
+        def log_factor(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            ratio = (shift[rows] + s * s) / scale[rows]
+            if not plain_log.any():
+                return np.log1p(ratio)
+            pl = plain_log[rows]
+            values = np.empty_like(ratio)
+            values[~pl] = np.log1p(ratio[~pl])
+            values[pl] = np.log(ratio[pl])
+            return values
+
+        spike = [] if x[0] >= -1.0 else [_first_gamma(xs[i], zeros[i]) for i, _ in owners]
+        integrals = _exponent_integrals(np.array(x), spike, log_factor)
+        for (i, k), xi, zero, integral in zip(owners, x, zs, integrals):
+            if zero.phi_sq == 0.0:
+                out[i][k] = 12.0 * math.exp(integral / math.pi)
+                continue
+            sign = -1.0 if zero.phi_sq < 0.0 else 1.0
+            out[i][k] = sign * _prefactor(zero, xi) * math.exp(zero.sigma / math.pi * integral)
+    return out
+
+
+def _first_gamma(x: float, zeros) -> float:
+    """gamma_1(x), from the zeros at x when they start with the first one."""
+    return (zeros[0] if zeros[0].mu == 1 else roots.zero_cached(1, x)).gamma
 
 
 def weight_v(mu, x: float):
@@ -169,9 +190,11 @@ def weight_v(mu, x: float):
     the record is the finite combination (method "special_x_neg1")
     v_1 = 12 exp[(1/pi) Int_1^inf log(t^2) K(t) dt] = 6.39303337215...
     """
-    if isinstance(mu, Integral):
-        return _contour_weights((mu,), x)[0]
-    return _contour_weights(tuple(mu), x)
+    modes = (mu,) if isinstance(mu, Integral) else tuple(mu)
+    zeros = [roots.zero_cached(m, x) for m in modes]
+    records = [WeightRecord(mu=m, v=v, method="special_x_neg1" if z.phi_sq == 0.0 else "contour")
+               for m, z, v in zip(modes, zeros, _contour_weights([x], [zeros])[0])]
+    return records[0] if isinstance(mu, Integral) else records
 
 
 def weight_v_closed_x0(mu: int) -> WeightRecord:
@@ -191,6 +214,18 @@ def weight(modes, x: float) -> list[WeightRecord]:
     if x == 0.0:
         return [weight_v_closed_x0(mu) for mu in modes]
     return weight_v(modes, x)
+
+
+def weight_batch(xs, zeros) -> list[list[float]]:
+    """Uncached weights of the zeros zeros[i], found at xs[i], for each i.
+
+    Row i holds the values of weight(modes, xs[i]) bit for bit: the closed
+    forms at x = 0, and elsewhere the contour integrals of all x together.
+    """
+    rest = [i for i, x in enumerate(xs) if x != 0.0]
+    rows = iter(_contour_weights([xs[i] for i in rest], [zeros[i] for i in rest]))
+    return [[weight_v_closed_x0(z.mu).v for z in zs] if x == 0.0 else next(rows)
+            for x, zs in zip(xs, zeros)]
 
 
 MODE_BLOCK = 16  # weights are computed and cached in whole blocks of modes

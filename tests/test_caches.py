@@ -47,3 +47,14 @@ def test_warm_cache_still_rejects_a_float_index(warm, call):
     warm()
     with pytest.raises((ValueError, TypeError)):
         call()
+
+
+def test_cold_surface_corner_potential_caches_only_its_own_x():
+    # I2's quadrature nodes are used once: their zeros and weights are not
+    # cached, so only x itself (and psi(0, 1)'s x = 0) enter the caches
+    for cached in (*BOUNDED, sigma.enumerate_sets):
+        cached.cache_clear()
+    casimir.theta_sc(-2.0)
+    casimir.theta_sc(5.0)
+    assert weights.weight_cached.cache_info().currsize <= 3
+    assert roots.zero_cached.cache_info().currsize <= 3 * 16

@@ -370,6 +370,19 @@ class TestExitCodes:
         assert err.startswith("numerical failure: non-finite integrand value in panel")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("x, err", [
+        ("-347", "numerical failure: math range error\n"),
+        ("-360", "numerical failure: math range error\n"),
+        ("-400", "numerical failure: non-finite integrand value in panel "
+                 "[0.0, 400.10660973505827]\n"),
+    ])
+    def test_potential_failure_below_minus_346(self, capsys, x, err):
+        # from x ~ -346.3 on the potential fails, in I2's far tail first; the
+        # message is the one of the first failing x, as in node-by-node order
+        argv = ["theta-table", f"--x-min={x}", f"--x-max={x}", "--steps", "1", "--rho", "1"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", err)
+
     def test_large_x_row(self, capsys):
         # the zeros are found where the dispersion function is steep
         argv = ["vartheta-table", "--x-min", "1e5", "--x-max", "1e5", "--steps", "1",

@@ -129,10 +129,10 @@ def test_lockstep_equals_separate_integrals_bit_for_bit():
 def test_lockstep_forms_equal_single_entry_points_bit_for_bit():
     gs = [lambda s: np.exp(-s) / (1.0 + s), lambda s: s * np.exp(-2.0 * s)]
     f = _stacked([(g, None, None) for g in gs])
-    assert (quad.integrate_sqrt_singularity_lockstep(f, 0.5, 2)
-            == [integrate_sqrt_singularity(g, 0.5) for g in gs])
-    assert (quad.integrate_sinh_map_lockstep(f, 0.01, 30.0, 2)
-            == [integrate_sinh_map(g, 0.01, 30.0) for g in gs])
+    assert (quad.integrate_sqrt_singularity_lockstep(f, [0.5, 2.0])
+            == [integrate_sqrt_singularity(g, x_abs) for g, x_abs in zip(gs, [0.5, 2.0])])
+    assert (quad.integrate_sinh_map_lockstep(f, [0.01, 0.3], [30.0, 12.0])
+            == [integrate_sinh_map(g, c, top) for g, c, top in zip(gs, [0.01, 0.3], [30.0, 12.0])])
 
 
 def test_lockstep_depth_exhaustion_reports_panel(monkeypatch):

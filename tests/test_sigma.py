@@ -4,12 +4,14 @@ import math
 
 import pytest
 
+from casimir_rect import quad, sigma
 from casimir_rect.sigma import (
     Psi,
     amplitude,
     critical_series_coefficients,
     enumerate_sets,
     psi_strip,
+    psi_strip_batch,
     sigma_det,
     sigma_series,
 )
@@ -171,3 +173,74 @@ class TestPsiFunctions:
         }
         for (x, s), ref in refs.items():
             assert amplitude(s, x).gamma_sum / (2 * PI) == pytest.approx(ref, abs=1e-10)
+
+
+def _kronrod_nodes(lo, hi):
+    return (0.5 * (lo + hi) + 0.5 * (hi - lo) * quad._XK).tolist()
+
+
+# node sets as I2's integrand receives them: 3 truncation probes, one panel
+# of 15 Kronrod nodes, or two halves of 30; plus lone nodes and sets that
+# mix both weight routes (x >= -1 and x < -1) and both signs
+BATCHES = {
+    "one_node": [-2.5],
+    "probes_far_positive": [4.25, 5.0, 6.0],
+    "probes_far_negative": [-4.25, -5.0, -6.0],
+    "inside_unit_interval": [0.3, -0.3, 0.95, -0.95, 1e-3],
+    "degenerate_zero": [-0.8, -1.0, -1.2],
+    "minus_4_to_minus_2": [-2.0, -3.1, -4.0],
+    "4_to_40": [4.0, 11.5, 40.0],
+    "mixed_routes_and_signs": [0.5, -1.5, -1.0, 3.0, -0.4, 25.0, -3.7],
+    "panel_across_minus_1": [-v for v in _kronrod_nodes(0.75, 4.0)],
+    "two_halves": _kronrod_nodes(0.5, 2.25) + _kronrod_nodes(2.25, 4.0),
+}
+
+
+class TestPsiStripBatch:
+    @pytest.mark.parametrize("xs", BATCHES.values(), ids=BATCHES.keys())
+    def test_equals_psi_strip_bit_for_bit(self, xs):
+        assert psi_strip_batch(xs, 1.0, 8) == [psi_strip(x, 1.0, 8) for x in xs]
+
+    def test_other_rho_and_order(self):
+        xs = [0.0, -1.0, 2.5, -6.0]
+        assert psi_strip_batch(xs, 1.7, 5) == [psi_strip(x, 1.7, 5) for x in xs]
+
+    @staticmethod
+    def _alone(x):
+        with pytest.raises(Exception) as info:
+            psi_strip(x, 1.0, 8)
+        return info.value
+
+    @pytest.mark.parametrize("xs, failing", [
+        ([-2.0, -360.0, -400.0], -360.0),
+        ([-2.0, -400.0, -360.0], -400.0),
+        ([-400.0, 1.0], -400.0),
+        ([1.0, math.nan, -360.0], math.nan),
+    ], ids=["overflow_first", "underflow_first", "first_node", "nan_node"])
+    def test_raises_as_the_first_failing_node(self, xs, failing):
+        # x = -400 fails inside the weight quadrature, -360 only after it
+        # (math.exp overflows), so the batch meets -400 first in both orders
+        want = self._alone(failing)
+        with pytest.raises(type(want)) as info:
+            psi_strip_batch(xs, 1.0, 8)
+        assert str(info.value) == str(want)
+
+    def test_rejects_what_psi_strip_rejects(self):
+        with pytest.raises(ValueError, match="below 0.5"):
+            psi_strip_batch([1.0], 0.4, 8)
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            psi_strip_batch([1.0], 1.0, 0)
+
+
+class TestTermBuilder:
+    @pytest.mark.parametrize("x", [-2.5, -1.0, 0.0, 0.7, 12.0])
+    @pytest.mark.parametrize("N", [3, 8, 10])
+    def test_terms_equal_amplitudes_bit_for_bit(self, x, N):
+        # the plan-based builder against amplitude(), set by set, in the
+        # series' order: per order by decreasing exponent, stably
+        want = []
+        for n in range(1, N + 1):
+            group = [amplitude(s, x) for s in enumerate_sets(n)]
+            group.sort(key=lambda t: -t.gamma_sum)
+            want += [(t.a, t.gamma_sum) for t in group]
+        assert list(sigma._terms_up_to(x, N)) == want

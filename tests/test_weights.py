@@ -267,3 +267,33 @@ class TestMpOracle:
     def test_higher_modes_within_2e_14(self):
         errs = _mp_rel_errors([x for x in MP_WEIGHTS if x >= -1.0], (2, 8, 16))
         assert max(errs.values()) < 2e-14, errs
+
+
+class TestWeightBatch:
+    # both routes, the degenerate zero at x = -1, 0 < |x| < 1, [-4, -2] and [4, 40]
+    XS = [0.37, -0.6, -1.0, -1.5, -2.0, -4.0, 4.0, 40.0, 1e-3, -0.999, -12.0, 7.25]
+
+    @staticmethod
+    def _zeros(xs, n=16):
+        return [[roots.find_zero(mu, x) for mu in range(1, n + 1)] for x in xs]
+
+    def test_rows_equal_weight_v_bit_for_bit(self):
+        rows = weights.weight_batch(self.XS, self._zeros(self.XS))
+        assert rows == [[r.v for r in weight_v(range(1, 17), x)] for x in self.XS]
+
+    @pytest.mark.parametrize("xs", [[-2.5], [0.5, -1.5, -1.0], [4.25, 5.0, 6.0]])
+    def test_short_calls(self, xs):
+        rows = weights.weight_batch(xs, self._zeros(xs))
+        assert rows == [[r.v for r in weight_v(range(1, 17), x)] for x in xs]
+
+    def test_closed_forms_at_x0(self):
+        rows = weights.weight_batch([0.0, 1.0], self._zeros([0.0, 1.0], 4))
+        assert rows[0] == [r.v for r in weight(range(1, 5), 0.0)]
+        assert rows[1] == [r.v for r in weight(range(1, 5), 1.0)]
+
+    def test_mode_subsets_and_order(self):
+        # the sinh route reads gamma_1 even where mode 1 is not asked for
+        xs = [-3.0, 2.0]
+        zeros = [[roots.find_zero(mu, x) for mu in (5, 2)] for x in xs]
+        assert weights.weight_batch(xs, zeros) == [
+            [weight_v(5, x).v, weight_v(2, x).v] for x in xs]
