@@ -6,14 +6,14 @@ surface-corner part theta_sc(x), and the residual strip contribution,
     theta_total(x, rho) = theta_oo(x) + theta_sc(x)/rho + Psi(x, rho),
 
 valid for rho >= 1; smaller aspect ratios go through the exchange symmetry
-theta(x, rho) = rho^-2 theta(x rho, 1/rho).  The surface-corner part is
-built at rho = 1 from the square symmetry, which turns the volume potential
-into two one-dimensional integrals: a dilogarithm integral I1 over the
-strip potential and an integral I2 over the strip force at unit aspect
-ratio.  Both carry the corner-induced log divergence at x = 0, so the
-potential itself is undefined there; the finite critical information lives
-in the Casimir amplitude, one quarter of the log of the Dedekind eta
-function.
+theta(x, rho) = rho^-2 theta(x rho, 1/rho).  Every series is sigma's, at
+DEFAULT_ORDER.  The surface-corner part is built at rho = 1 from the square
+symmetry, which turns the volume potential into two one-dimensional
+integrals: a dilogarithm integral I1 over the strip potential and an
+integral I2 over the strip force at unit aspect ratio.  Both carry the
+corner-induced log divergence at x = 0, so the potential itself is undefined
+there; the finite critical information lives in the Casimir amplitude, one
+quarter of the log of the Dedekind eta function.
 
 The force scaling function is finite everywhere,
 
@@ -43,7 +43,8 @@ import numpy as np
 from . import quad, sigma, strip
 from .quad import QuadratureSpec
 from .roots import solve_bracket
-from .specialfn import dilog, eisenstein_E2, log_dedekind_eta
+from .sigma import DEFAULT_ORDER
+from .specialfn import _finite, dilog, eisenstein_E2, log_dedekind_eta
 from .thermo_constants import Z_CRITICAL
 
 __all__ = [
@@ -63,8 +64,6 @@ __all__ = [
     "find_rho0",
     "lattice_to_scaling",
 ]
-
-DEFAULT_ORDER = 8
 
 I_SPEC = QuadratureSpec(rel_tol=1e-12, abs_tol=5e-12)
 # I1 is the sum of two integrals, each held to half the absolute tolerance
@@ -155,39 +154,36 @@ def integral_I2(x_vol: float) -> float:
          - log(2) * [x < 0].
 
     The regularized integrand is used on [|x|, S]; beyond S the subtraction
-    is undone in closed form so that the remaining integrand decays
-    exponentially (the subtraction term alone would leave a polynomial
-    tail).  Integrating toward -inf for x < 0 starts from the ordered
-    phase, whose two degenerate states contribute the boundary constant
-    -log 2; together with the changed limit this produces the jump
-    2C - (3/2) log 2 across x_vol = 0 (C = Catalan's constant).  For
-    |x| < 1 the log term is log1p(x^2) - 2 log|x|, since x^-2 overflows
-    near x = 0.  psi(xi, 1) is the series at DEFAULT_ORDER, as for theta_sc.
-    Its nodes are used once, so each integrand call evaluates psi at all of
-    its nodes as one uncached batch (sigma.psi_strip_batch), bit for bit
-    psi_strip's values, and raises what psi_strip raises at the first
-    failing node.
+    is undone in closed form (from |x| = S on it is never made) so that the
+    remaining integrand decays exponentially (the subtraction term alone
+    would leave a polynomial tail).  Integrating toward -inf for x < 0
+    starts from the ordered phase, whose two degenerate states contribute
+    the boundary constant -log 2; together with the changed limit this
+    produces the jump 2C - (3/2) log 2 across x_vol = 0 (C = Catalan's
+    constant).  For |x| < 1 the log term is log1p(x^2) - 2 log|x|, since
+    x^-2 overflows near x = 0.  psi(xi, 1) is the series at DEFAULT_ORDER,
+    as for theta_sc; its nodes are used once, so each integrand call takes
+    psi at all of its nodes from one uncached sigma.psi_strip_batch.
     """
     _require_finite(x_vol)
     if x_vol == 0.0:
         raise ValueError("logarithmically divergent at x_vol = 0")
     sgn = 1.0 if x_vol > 0.0 else -1.0
     h = abs(x_vol)
-    psi0 = sigma.psi_strip(0.0, 1.0, DEFAULT_ORDER)
-    log_term = math.log1p(h * h) - 2.0 * math.log(h) if h < 1.0 else math.log1p(1.0 / (h * h))
-    total = psi0 * log_term
-    if x_vol < 0.0:
-        total -= math.log(2.0)
+    ordered = -math.log(2.0) if x_vol < 0.0 else 0.0
 
     def psi1(eta: np.ndarray) -> np.ndarray:
-        return np.array(sigma.psi_strip_batch((sgn * eta).tolist(), 1.0, DEFAULT_ORDER))
+        return np.array(sigma.psi_strip_batch((sgn * eta).tolist()))
 
     def far(eta: np.ndarray) -> np.ndarray:
         return 2.0 * psi1(eta) / eta
 
     if h >= _I2_SPLIT:
-        return total - psi0 * math.log1p(1.0 / (h * h)) + quad.integrate_semi_infinite(
-            far, h, I_SPEC)
+        return ordered + quad.integrate_semi_infinite(far, h, I_SPEC)
+
+    psi0 = sigma.psi_strip(0.0, 1.0, DEFAULT_ORDER)
+    log_term = math.log1p(h * h) - 2.0 * math.log(h) if h < 1.0 else math.log1p(1.0 / (h * h))
+    total = psi0 * log_term + ordered
 
     def near(eta: np.ndarray) -> np.ndarray:
         return 2.0 * (psi1(eta) - psi0 / (1.0 + eta * eta)) / eta
@@ -246,30 +242,38 @@ def x_dtheta_sc(x: float) -> float:
             - _x_dPsi_dx(x, 1.0, DEFAULT_ORDER))
 
 
-def theta_total(x: float, rho: float, N: int = DEFAULT_ORDER) -> float:
+def theta_total(x: float, rho: float) -> float:
     """Casimir potential scaling function theta(x, rho).
 
     Undefined at x = 0 for finite rho (logarithmic corner divergence); the
     finite critical quantity is casimir_amplitude.  For rho < 1 the
-    exchange symmetry theta(x, rho) = rho^-2 theta(x rho, 1/rho) is used.
+    exchange symmetry theta(x, rho) = rho^-2 theta(x rho, 1/rho) is used;
+    from rho ~ 2e-155 down, rho^-2 overflows it (OverflowError).
     """
-    return theta_column(x, (rho,), N)[0]
+    return theta_column(x, (rho,))[0]
 
 
-def theta_column(x: float, rhos: Sequence[float], N: int = DEFAULT_ORDER) -> list[float]:
+def theta_column(x: float, rhos: Sequence[float]) -> list[float]:
     """theta_total(x, rho) for each rho, with theta_oo(x) evaluated once.
 
     The strip part is computed only when some rho >= 1 needs it; rho < 1
-    goes through the exchange symmetry at each rho.  N truncates only Psi.
+    goes through the exchange symmetry at each rho.
     """
     _require_finite(x, *rhos)
     if x == 0.0:
         raise ValueError("divergent at x = 0; see casimir_amplitude")
     _require_positive(rhos)
     oo = strip.theta_oo(x) if any(rho >= 1.0 for rho in rhos) else None
-    return [oo + theta_sc(x) / rho + sigma.Psi(x, rho, N) if rho >= 1.0
-            else theta_total(x * rho, 1.0 / rho, N) / (rho * rho)
+    return [oo + theta_sc(x) / rho + sigma.Psi(x, rho, DEFAULT_ORDER) if rho >= 1.0
+            else _exchanged(theta_total(x * rho, 1.0 / rho), rho)
             for rho in rhos]
+
+
+def _exchanged(value: float, rho: float) -> float:
+    """value / rho^2, mapped back to rho < 1 from the exchanged direction."""
+    rho_sq = rho * rho
+    return _finite(value / rho_sq if rho_sq else math.inf,
+                   f"rho^-2 times the exchanged value at rho = {rho}")
 
 
 def vartheta_total(x: float, rho: float, N: int = DEFAULT_ORDER) -> float:
@@ -281,7 +285,8 @@ def vartheta_total(x: float, rho: float, N: int = DEFAULT_ORDER) -> float:
 
     vartheta(x, rho) = rho^-2 [ vartheta_oo(u) - rho * (u theta_sc'(u))
                                 - u dPsi/dx(u, 1/rho) - psi(u, 1/rho) ],
-    with u = x rho.  Both branches agree identically at rho = 1.
+    with u = x rho.  Both branches agree identically at rho = 1.  Like
+    theta_total, from rho ~ 2e-155 down it raises OverflowError.
     """
     return vartheta_column(x, (rho,), N)[0]
 
@@ -304,8 +309,8 @@ def vartheta_column(x: float, rhos: Sequence[float],
 def _vartheta_exchanged(x: float, rho: float, N: int) -> float:
     u = x * rho
     w = 1.0 / rho
-    return (strip.vartheta_oo(u) - rho * x_dtheta_sc(u) - sigma.psi_strip(u, w, N)
-            - _x_dPsi_dx(u, w, N)) / (rho * rho)
+    return _exchanged(strip.vartheta_oo(u) - rho * x_dtheta_sc(u) - sigma.psi_strip(u, w, N)
+                      - _x_dPsi_dx(u, w, N), rho)
 
 
 def casimir_amplitude(rho: float) -> float:
@@ -316,7 +321,7 @@ def casimir_amplitude(rho: float) -> float:
     1e-11 plus 1e-14 relative, as the value grows like -pi*rho/48.
     """
     value = 0.25 * log_dedekind_eta(rho)
-    if rho >= 0.5:
+    if rho >= sigma.MIN_RHO:
         other = (rho * strip.theta_oo(0.0)
                  - math.log(sigma.sigma_series(0.0, rho, DEFAULT_ORDER + 2).value))
         if abs(value - other) > 1e-11 + 1e-14 * abs(value):

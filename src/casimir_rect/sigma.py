@@ -13,8 +13,9 @@ the stated exponential accuracy is one of the package's main cross-checks.
 
 Also provided: the potential scaling function Psi = -log(Sigma)/rho and the
 strip force psi = d(log Sigma)/d(rho), the latter with the rho-derivative
-taken analytically on the series; psi_strip_batch gives psi at many x that
-are used once, past the caches.
+taken analytically on the series; psi_strip_batch gives the unit-aspect
+psi(x, 1) at many x that are used once, past the caches.  The package sums
+the series to DEFAULT_ORDER, and it holds for rho >= MIN_RHO.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from . import roots
 from .weights import batch_size, weight_batch, weight_cached
 
 __all__ = [
+    "DEFAULT_ORDER",
+    "MIN_RHO",
     "SubsetTerm",
     "SigmaResult",
     "enumerate_sets",
@@ -42,7 +45,8 @@ __all__ = [
     "critical_series_coefficients",
 ]
 
-_MIN_RHO = 0.5
+DEFAULT_ORDER = 8
+MIN_RHO = 0.5
 
 
 @dataclass(frozen=True)
@@ -158,17 +162,10 @@ def _terms_up_to(x: float, N: int) -> tuple[tuple[float, float], ...]:
     return tuple(_build_terms(zeros, weight_cached(x, batch_size(2 * N)), N))
 
 
-def _require_order(N: int) -> None:
-    if N < 1:
-        raise ValueError("N must be >= 1")
-
-
 def _require_rho(rho: float) -> None:
-    if not rho >= _MIN_RHO:
-        raise ValueError(
-            f"rho = {rho} below {_MIN_RHO}; use the exchange symmetry at the "
-            "potential/force level instead"
-        )
+    if not rho >= MIN_RHO:
+        raise ValueError(f"rho = {rho} below {MIN_RHO}; use the exchange symmetry at the "
+                         "potential/force level instead")
 
 
 def _sums(terms, rho: float) -> tuple[float, float]:
@@ -184,7 +181,8 @@ def _sums(terms, rho: float) -> tuple[float, float]:
 
 
 def _series_sums(x: float, rho: float, N: int) -> tuple[float, float]:
-    _require_order(N)
+    if N < 1:
+        raise ValueError("N must be >= 1")
     _require_rho(rho)
     return _sums(_terms_up_to(x, N), rho)
 
@@ -241,33 +239,29 @@ def psi_strip(x: float, rho: float, N: int) -> float:
     return num / den
 
 
-def psi_strip_batch(xs, rho: float, N: int) -> list[float]:
-    """psi_strip(x, rho, N) for each x of xs, bit for bit, past the caches.
+def psi_strip_batch(xs) -> list[float]:
+    """psi_strip(x, 1.0, DEFAULT_ORDER) for each x of xs, bit for bit, uncached.
 
-    For x used once, such as quadrature nodes: each x's zeros serve both its
-    weights and its terms, and the weights of all x run as one batch.
+    For x used once, such as I2's quadrature nodes: each x's zeros serve both
+    its weights and its terms, and the weights of all x run as one batch.
     Raises what psi_strip raises at the first x of xs where it fails.
     """
-    _require_order(N)
-    _require_rho(rho)
     try:
-        return _psi_batch(xs, rho, N)
+        return _psi_batch(xs)
     except (ArithmeticError, RuntimeError, ValueError):
         # the batch may meet a later x's failure first; x by x, the first
         # failing x raises what it raises alone
         for x in xs:
-            _psi_batch([x], rho, N)
+            _psi_batch([x])
         raise
 
 
-def _psi_batch(xs, rho: float, N: int) -> list[float]:
-    modes = range(1, batch_size(2 * N) + 1)
+def _psi_batch(xs) -> list[float]:
+    modes = range(1, batch_size(2 * DEFAULT_ORDER) + 1)
     zeros = [[roots.find_zero(m, x) for m in modes] for x in xs]
-    out = []
-    for zs, vs in zip(zeros, weight_batch(xs, zeros)):
-        num, den = _sums(_build_terms(zs, vs, N), rho)
-        out.append(num / den)
-    return out
+    sums = [_sums(_build_terms(zs, vs, DEFAULT_ORDER), 1.0)
+            for zs, vs in zip(zeros, weight_batch(xs, zeros))]
+    return [num / den for num, den in sums]
 
 
 def critical_series_coefficients(N: int) -> list[float]:

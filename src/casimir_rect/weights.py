@@ -242,6 +242,6 @@ def weight_cached(x: float, n: int) -> tuple[float, ...]:
 
     The series, determinant and spin modules read it with n = batch_size(m)
     for their highest mode m: 16 for the series to order 8 and the spin
-    model, 32 for the determinant at its default 16 modes, a second entry.
+    model, 32 for the determinant at the CLI's 16 modes, a second entry.
     """
     return tuple(rec.v for rec in weight(range(1, n + 1), x))

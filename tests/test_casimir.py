@@ -137,6 +137,17 @@ class TestI2:
         hi = integral_I2(4.001)
         assert abs(lo - hi) < 1e-3
 
+    @pytest.mark.parametrize("x, pinned", [
+        (4.0, -1.6754413649211612e-06), (-4.0, -0.7244711223651173),
+        (5.5, -8.506253639553573e-08), (-5.5, -0.7063349913839219),
+        (12.0, -1.8827485478468452e-13), (-12.0, -0.6932234767668727),
+        (40.0, -6.907062023961475e-38), (-40.0, -0.6931471805599455),
+    ])
+    def test_far_tail_branch_bit_for_bit(self, x, pinned):
+        # from |x| = 4 on, I2 is the far tail plus the ordered-phase constant;
+        # no pinned table has an x <= -4, so these pin the branch's bits
+        assert repr(integral_I2(x)) == repr(pinned)
+
 
 class TestThetaVolume:
     def test_low_temperature_limit(self):
@@ -232,6 +243,21 @@ class TestThetaTotal:
     def test_finite_between_minus_355_and_minus_346(self):
         for x in (-347.0, -350.0):
             assert math.isfinite(theta_total(x, 1.0))
+
+    @pytest.mark.parametrize("rho", [1e-155, 1e-200])
+    @pytest.mark.parametrize("total, x", [(theta_total, 1.0), (vartheta_total, 1.0),
+                                          (vartheta_total, 0.0)],
+                             ids=["theta", "vartheta", "vartheta_at_0"])
+    def test_tiny_rho_overflows(self, total, x, rho):
+        # rho^-2 maps the exchanged value back; at 1e-155 the quotient leaves
+        # the doubles, at 1e-200 rho * rho is 0.0 itself
+        with pytest.raises(OverflowError, match=f"at rho = {rho} overflows"):
+            total(x, rho)
+
+    def test_finite_just_above_the_tiny_rho_limit(self):
+        # just above the limit value / rho^2 is still a double, to the last bit
+        pinned = -1.6362461737446892e+308
+        assert theta_total(1.0, 2e-155) == vartheta_total(0.0, 2e-155) == pinned
 
     def test_decomposition_identity(self):
         for x, rho in ((-1.5, 1.4), (-1.0, 1.5)):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import runpy
 import warnings
 from pathlib import Path
 
@@ -11,15 +12,13 @@ from casimir_rect import casimir, cli, strip, weights
 from casimir_rect.quad import QuadratureError
 from casimir_rect.tables import FunctionTable, render_csv, render_json, render_value
 
-REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
-# the benchmark workloads at their default seed, as bench/workloads.py builds them:
-# name -> (command, x_min, x_max, steps, aspect ratios)
-WORKLOADS = {
-    "rho_scan": ("vartheta-table", -12.0, 12.0, 12,
-                 tuple(1.0 + 4.0 * i / 159 for i in range(160))),
-    "slab_force": ("vartheta-table", -15.0, 15.0, 13, (0.55, 0.725, 0.9)),
-    "potential_grid": ("theta-table", -2.0, 5.0, 2, (1.0, 1.5, 2.0, 3.0)),
-}
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+REFERENCE = BENCH / "reference"
+# the benchmark workloads' default-seed command lines, built by the benchmark's
+# own definitions so that they cannot drift from what bench/reference/ records
+_bench = runpy.run_path(str(BENCH / "workloads.py"))
+WORKLOAD_ARGV = {name: list(_bench["invocation"](w, _bench["DEFAULT_SEED"]).argv)
+                 for name, w in _bench["WORKLOADS"].items()}
 
 
 # stdout of the commands that no benchmark workload runs, recorded byte for byte
@@ -274,15 +273,10 @@ class TestDeterminismAndFormats:
             for c, j in zip(crow, jrow):
                 assert float(c) == j
 
-    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_ARGV))
     def test_workload_matches_benchmark_reference(self, capsys, name):
         # pins each benchmark workload's default-seed table to the recorded bytes
-        command, x_min, x_max, steps, rhos = WORKLOADS[name]
-        argv = [command, "--x-min", repr(x_min), "--x-max", repr(x_max),
-                "--steps", str(steps)]
-        for rho in rhos:
-            argv += ["--rho", repr(rho)]
-        code, out = run_cli(capsys, argv)
+        code, out = run_cli(capsys, WORKLOAD_ARGV[name])
         assert code == 0
         assert out == (REFERENCE / f"{name}.csv").read_text()
 
@@ -339,6 +333,12 @@ class TestExitCodes:
         (["weights", "--x", "-360", "--count", "4"], 2),
         # x^2 overflows in the zeros
         (["zeros", "--x", "1e300", "--count", "2"], 2),
+        # rho^-2 overflows the exchanged value, or rho * rho is 0.0 itself
+        (["theta-table", "--x-min", "1", "--x-max", "1", "--steps", "1", "--rho", "1e-155"], 2),
+        (["vartheta-table", "--x-min", "1", "--x-max", "1", "--steps", "1", "--rho", "1e-155"], 2),
+        (["vartheta-table", "--x-min", "0", "--x-max", "0", "--steps", "1", "--rho", "1e-155"], 2),
+        (["theta-table", "--x-min", "1", "--x-max", "1", "--steps", "1", "--rho", "1e-200"], 2),
+        (["vartheta-table", "--x-min", "1", "--x-max", "1", "--steps", "1", "--rho", "1e-200"], 2),
         # counts, orders and aspect ratios must be positive, even where no
         # library call would check them (the x = 0 row of the potential)
         (["weights", "--x", "1", "--count", "0"], 1),

@@ -193,17 +193,14 @@ BATCHES = {
     "mixed_routes_and_signs": [0.5, -1.5, -1.0, 3.0, -0.4, 25.0, -3.7],
     "panel_across_minus_1": [-v for v in _kronrod_nodes(0.75, 4.0)],
     "two_halves": _kronrod_nodes(0.5, 2.25) + _kronrod_nodes(2.25, 4.0),
+    "with_critical_point": [0.0, -1.0, 2.5, -6.0],
 }
 
 
 class TestPsiStripBatch:
     @pytest.mark.parametrize("xs", BATCHES.values(), ids=BATCHES.keys())
     def test_equals_psi_strip_bit_for_bit(self, xs):
-        assert psi_strip_batch(xs, 1.0, 8) == [psi_strip(x, 1.0, 8) for x in xs]
-
-    def test_other_rho_and_order(self):
-        xs = [0.0, -1.0, 2.5, -6.0]
-        assert psi_strip_batch(xs, 1.7, 5) == [psi_strip(x, 1.7, 5) for x in xs]
+        assert psi_strip_batch(xs) == [psi_strip(x, 1.0, 8) for x in xs]
 
     @staticmethod
     def _alone(x):
@@ -222,14 +219,8 @@ class TestPsiStripBatch:
         # (math.exp overflows), so the batch meets -400 first in both orders
         want = self._alone(failing)
         with pytest.raises(type(want)) as info:
-            psi_strip_batch(xs, 1.0, 8)
+            psi_strip_batch(xs)
         assert str(info.value) == str(want)
-
-    def test_rejects_what_psi_strip_rejects(self):
-        with pytest.raises(ValueError, match="below 0.5"):
-            psi_strip_batch([1.0], 0.4, 8)
-        with pytest.raises(ValueError, match="N must be >= 1"):
-            psi_strip_batch([1.0], 1.0, 0)
 
 
 class TestTermBuilder:
