@@ -21,9 +21,13 @@ The force scaling function is finite everywhere,
 
 and for rho < 1 through the exchanged-direction expression built from the
 strip force function and the combination x*theta_sc'(x), which stays finite
-at x = 0 (it tends to -1/8, the corner log amplitude).  At the critical
-point the force changes sign at the aspect ratio where the weight-two
-Eisenstein series vanishes on the imaginary axis.
+at x = 0 (it tends to -1/8, the corner log amplitude).  That expression
+needs psi and x dPsi/dx at u = x rho for aspect ratios 1 and 1/rho;
+sigma.psi_with_x_dPsi_dx reads all four from one cached batch of series
+terms per u.  A rho so small that rho^2 is 0.0 raises OverflowError
+before anything is evaluated.  At the critical point the force changes
+sign at the aspect ratio where the weight-two Eisenstein series vanishes
+on the imaginary axis.
 
 theta_column(x, rhos) and vartheta_column(x, rhos) evaluate one x across
 many aspect ratios: theta_oo(x) is computed once and only the series term
@@ -216,18 +220,6 @@ def theta_sc(x: float) -> float:
             + theta_volume_rho1(x))
 
 
-def _x_dPsi_dx(x: float, rho: float, N: int) -> float:
-    """x * dPsi/dx by central differences with one refinement; 0 at x = 0."""
-    if x == 0.0:
-        return 0.0
-    h = max(1e-4, 1e-4 * abs(x))
-
-    def d(step: float) -> float:
-        return (sigma.Psi(x + step, rho, N) - sigma.Psi(x - step, rho, N)) / (2.0 * step)
-
-    return x * ((4.0 * d(h / 2.0) - d(h)) / 3.0)
-
-
 def x_dtheta_sc(x: float) -> float:
     """The finite combination x * theta_sc'(x).
 
@@ -235,11 +227,13 @@ def x_dtheta_sc(x: float) -> float:
     x theta_sc'(x) = theta_oo(x) + vartheta_oo(x) - 2 psi(x,1)
                      - x dPsi/dx(x,1);
     unlike theta_sc itself this stays finite at x = 0, where it equals
-    -1/8 (the corner log amplitude).  Like theta_sc, at DEFAULT_ORDER.
+    -1/8 (the corner log amplitude).  Like theta_sc, at DEFAULT_ORDER; the
+    last two terms come from sigma.psi_with_x_dPsi_dx.
     """
     _require_finite(x)
-    return (strip.theta_oo(x) + strip.vartheta_oo(x) - 2.0 * sigma.psi_strip(x, 1.0, DEFAULT_ORDER)
-            - _x_dPsi_dx(x, 1.0, DEFAULT_ORDER))
+    oo = strip.theta_oo(x) + strip.vartheta_oo(x)
+    psi, x_dPsi_dx = sigma.psi_with_x_dPsi_dx(x, 1.0, DEFAULT_ORDER)
+    return oo - 2.0 * psi - x_dPsi_dx
 
 
 def theta_total(x: float, rho: float) -> float:
@@ -265,15 +259,21 @@ def theta_column(x: float, rhos: Sequence[float]) -> list[float]:
     _require_positive(rhos)
     oo = strip.theta_oo(x) if any(rho >= 1.0 for rho in rhos) else None
     return [oo + theta_sc(x) / rho + sigma.Psi(x, rho, DEFAULT_ORDER) if rho >= 1.0
-            else _exchanged(theta_total(x * rho, 1.0 / rho), rho)
+            else _exchanged(lambda: theta_total(x * rho, 1.0 / rho), rho)
             for rho in rhos]
 
 
-def _exchanged(value: float, rho: float) -> float:
-    """value / rho^2, mapped back to rho < 1 from the exchanged direction."""
+def _exchanged(value, rho: float) -> float:
+    """value() / rho^2, mapped back to rho < 1 from the exchanged direction.
+
+    Where rho^2 underflows to 0 the quotient overflows whatever the value,
+    so that raises before value() is evaluated.
+    """
     rho_sq = rho * rho
-    return _finite(value / rho_sq if rho_sq else math.inf,
-                   f"rho^-2 times the exchanged value at rho = {rho}")
+    what = f"rho^-2 times the exchanged value at rho = {rho}"
+    if not rho_sq:
+        _finite(math.inf, what)
+    return _finite(value() / rho_sq, what)
 
 
 def vartheta_total(x: float, rho: float, N: int = DEFAULT_ORDER) -> float:
@@ -302,15 +302,16 @@ def vartheta_column(x: float, rhos: Sequence[float],
     _require_positive(rhos)
     oo = strip.theta_oo(x) if any(rho >= 1.0 for rho in rhos) else None
     return [-oo + sigma.psi_strip(x, rho, N) if rho >= 1.0
-            else _vartheta_exchanged(x, rho, N)
+            else _exchanged(lambda: _vartheta_exchanged(x, rho, N), rho)
             for rho in rhos]
 
 
 def _vartheta_exchanged(x: float, rho: float, N: int) -> float:
     u = x * rho
-    w = 1.0 / rho
-    return _exchanged(strip.vartheta_oo(u) - rho * x_dtheta_sc(u) - sigma.psi_strip(u, w, N)
-                      - _x_dPsi_dx(u, w, N), rho)
+    rest = strip.vartheta_oo(u) - rho * x_dtheta_sc(u)
+    # at N = DEFAULT_ORDER x_dtheta_sc(u) has just cached the series terms
+    psi, x_dPsi_dx = sigma.psi_with_x_dPsi_dx(u, 1.0 / rho, N)
+    return rest - psi - x_dPsi_dx
 
 
 def casimir_amplitude(rho: float) -> float:

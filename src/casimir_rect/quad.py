@@ -23,6 +23,20 @@ share one kernel, such as the mode weights.
 np.vecdot takes each panel row's sums with the same dot product as for a
 panel evaluated alone; a matrix product over all rows sums in another order
 and changes the last bits, so lockstep results would differ from lone ones.
+A panel whose integrand values, Kronrod value or error estimate are not
+finite raises QuadratureError naming it.
+
+The loop keeps its panels in one of two forms, chosen by the number of
+integrals: below _ARRAY_MIN, per-integral lists in order of position, with
+math.fsum for each tolerance test; from _ARRAY_MIN on, (k x capacity)
+arrays, so each round's bookkeeping is a few numpy calls instead of a
+Python loop over the integrals.  Both make the same decisions, so their
+results are bit-identical: the array form counts a row unconverged without
+fsum only where a bound on the rounding of the numpy sums proves fsum
+would, gives every other row the exact fsum test (fsum is correctly
+rounded, so the order of a row's panels does not matter), and bisects the
+panel of largest error with the smallest lower end, the one the list form
+finds first.
 """
 
 from __future__ import annotations
@@ -114,24 +128,49 @@ DEFAULT_SPEC = QuadratureSpec()
 
 def _estimates(f, owners, los, his):
     """Gauss-Kronrod values and error estimates of the panels [los[j], his[j]]
-    of the integrals owners[j] from one call of f, each bit-identical to its
-    panel evaluated alone: np.vecdot sums each row with the same dot product.
+    of the integrals owners[j] from one call of f, as two arrays, each entry
+    bit-identical to its panel evaluated alone: np.vecdot sums each row with
+    the same dot product.  A non-finite integrand value, or a value or error
+    estimate that overflows the doubles, raises QuadratureError naming the
+    first such panel.
     """
-    if not owners:
-        return [], []
-    lo, hi = np.array(los), np.array(his)
+    if not len(owners):
+        return np.empty(0), np.empty(0)
+    lo, hi = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     nodes = (mid[:, None] + half[:, None] * _XK).ravel()
-    y = np.asarray(f(nodes, np.array(owners).repeat(_XK.size)), dtype=float)
+    y = np.asarray(f(nodes, np.asarray(owners).repeat(_XK.size)), dtype=float)
     if y.shape != nodes.shape:
         raise ValueError(f"integrand returned shape {y.shape} for {nodes.shape} nodes")
     y = y.reshape(len(owners), _XK.size)
     if not np.isfinite(y).all():
         j = int(np.argmin(np.isfinite(y).all(axis=1)))
-        raise QuadratureError(f"non-finite integrand value in panel [{los[j]}, {his[j]}]")
-    k15 = half * np.vecdot(y, _WK)
-    g7 = half * np.vecdot(y[:, 1::2], _WG)
-    return k15.tolist(), np.abs(k15 - g7).tolist()
+        raise QuadratureError(f"non-finite integrand value in panel [{lo[j]}, {hi[j]}]")
+    with np.errstate(over="ignore", invalid="ignore"):
+        k15 = half * np.vecdot(y, _WK)
+        err = np.abs(k15 - half * np.vecdot(y[:, 1::2], _WG))
+    finite = np.isfinite(err)  # err is NaN or inf wherever k15 is
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise QuadratureError(f"non-finite value or error estimate in panel [{lo[j]}, {hi[j]}]")
+    return k15, err
+
+
+def _exhausted(pa: float, pb: float, depth: int, panels: int, perr: float, tol: float):
+    """The QuadratureError of a worst panel past its limits, or None."""
+    if depth >= _MAX_DEPTH:
+        return QuadratureError(f"adaptive depth exhausted on panel [{pa}, {pb}] "
+                               f"(error estimate {perr:.3e}, requested {tol:.3e})")
+    if panels >= _MAX_PANELS:
+        return QuadratureError(f"panel budget exhausted; worst panel [{pa}, {pb}] "
+                               f"error {perr:.3e}")
+    return None
+
+
+# From this many integrals on, integrate_lockstep keeps its panels in arrays;
+# below it, the numpy calls of a round cost more than the Python loop they
+# save (measured: 16-mode weight batches and single theta_oo integrals)
+_ARRAY_MIN = 32
 
 
 def integrate_lockstep(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC) -> list[float]:
@@ -140,11 +179,12 @@ def integrate_lockstep(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC) -> list[flo
     f(nodes, owners) takes a 1-D node array and the index of the integral
     each node belongs to, and returns the integrand values at the nodes.
     Each integral is globally adaptive on its own: the panel with the
-    largest error estimate is bisected until the summed estimate meets the
-    tolerance.  The integrals advance in lockstep, so each round evaluates
-    the bisected panels of all unconverged integrals in one call of f.
-    Raises ValueError for non-finite or reversed bounds, and QuadratureError
-    when a worst panel has had _MAX_DEPTH bisections or the budget is spent.
+    largest error estimate (the leftmost of equals) is bisected until the
+    summed estimate meets the tolerance.  The integrals advance in
+    lockstep, so each round evaluates the bisected panels of all
+    unconverged integrals in one call of f.  Raises ValueError for
+    non-finite or reversed bounds, and QuadratureError when a worst panel
+    has had _MAX_DEPTH bisections or the budget is spent.
     """
     a = [float(v) for v in a]
     b = [float(v) for v in b]
@@ -152,6 +192,11 @@ def integrate_lockstep(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC) -> list[flo
         raise ValueError("integration bounds must be finite")
     if any(lo > hi for lo, hi in zip(a, b)):
         raise ValueError("integration bounds must satisfy a <= b")
+    return (_lockstep_arrays if len(a) >= _ARRAY_MIN else _lockstep_lists)(f, a, b, spec)
+
+
+def _lockstep_lists(f, a, b, spec: QuadratureSpec) -> list[float]:
+    """integrate_lockstep's rounds with each integral's panels in lists, in order."""
     results = [0.0] * len(a)
     active = [i for i in range(len(a)) if a[i] != b[i]]
     # panel j of integral i is [los[i][j], his[i][j]], bisected deps[i][j]
@@ -159,7 +204,7 @@ def integrate_lockstep(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC) -> list[flo
     los, his = {i: [a[i]] for i in active}, {i: [b[i]] for i in active}
     deps = {i: [0] for i in active}
     first = _estimates(f, active, [a[i] for i in active], [b[i] for i in active])
-    vals, errs = ({i: [v] for i, v in zip(active, est)} for est in first)
+    vals, errs = ({i: [v] for i, v in zip(active, est.tolist())} for est in first)
     while active:
         splits, owners, new_los, new_his = [], [], [], []
         for i in active:
@@ -171,18 +216,15 @@ def integrate_lockstep(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC) -> list[flo
             perr = max(errs[i])
             worst = errs[i].index(perr)
             pa, pb, depth = los[i][worst], his[i][worst], deps[i][worst]
-            if depth >= _MAX_DEPTH:
-                raise QuadratureError(f"adaptive depth exhausted on panel [{pa}, {pb}] "
-                                      f"(error estimate {perr:.3e}, requested {tol:.3e})")
-            if len(errs[i]) >= _MAX_PANELS:
-                raise QuadratureError(f"panel budget exhausted; worst panel [{pa}, {pb}] "
-                                      f"error {perr:.3e}")
+            error = _exhausted(pa, pb, depth, len(errs[i]), perr, tol)
+            if error is not None:
+                raise error
             pm = 0.5 * (pa + pb)
             splits.append((i, worst, depth + 1))
             owners += (i, i)
             new_los += (pa, pm)
             new_his += (pm, pb)
-        new_vals, new_errs = _estimates(f, owners, new_los, new_his)
+        new_vals, new_errs = (est.tolist() for est in _estimates(f, owners, new_los, new_his))
         for n, (i, worst, depth) in enumerate(splits):
             halves = slice(2 * n, 2 * n + 2)
             for own, new in ((los, new_los), (his, new_his), (vals, new_vals), (errs, new_errs)):
@@ -190,6 +232,87 @@ def integrate_lockstep(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC) -> list[flo
             deps[i][worst:worst + 1] = (depth, depth)
         active = [split[0] for split in splits]
     return results
+
+
+def _lockstep_arrays(f, a, b, spec: QuadratureSpec) -> list[float]:
+    """integrate_lockstep's rounds with the panels in arrays, same decisions.
+
+    Row r holds the panels of integral ids[r] in its first cnt[r] columns,
+    in no particular order, and zeros after them.  The list form's tests
+    are reproduced exactly: fsum is exact, so it does not care about the
+    order; the leftmost panel of largest error is the one of smallest lo
+    (a panel that shares its lo with another has zero width and no error);
+    and a row is counted unconverged without fsum only where the numpy sums
+    prove it.
+    """
+    results = [0.0] * len(a)
+    ids = np.array([i for i in range(len(a)) if a[i] != b[i]], dtype=np.int64)
+    # p[r, j] = (lo, hi, Kronrod value, error estimate, bisections) of a panel
+    p = np.zeros((ids.size, 8, 5))
+    p[:, 0, 0] = [a[i] for i in ids.tolist()]
+    p[:, 0, 1] = [b[i] for i in ids.tolist()]
+    p[:, 0, 2], p[:, 0, 3] = _estimates(f, ids, p[:, 0, 0], p[:, 0, 1])
+    cnt = np.ones(ids.size, dtype=np.int64)
+    while ids.size:
+        lo, val, err = p[:, :, 0], p[:, :, 2], p[:, :, 3]
+        unconverged = _proven_unconverged(val, err, spec)
+        worst = np.where(err == err.max(axis=1, keepdims=True), lo, np.inf).argmin(axis=1)
+        w = p[np.arange(ids.size), worst]
+        limit = (w[:, 4] >= _MAX_DEPTH) | (cnt >= _MAX_PANELS)
+        # rows are tested in order, so nothing after the first proven
+        # unconverged row at its limit is tested, as in the list form
+        doomed = unconverged & limit
+        stop = int(np.argmax(doomed)) if doomed.any() else ids.size
+        for r in np.flatnonzero(~unconverged[:stop]).tolist():
+            total = math.fsum(val[r, :cnt[r]].tolist())
+            tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+            if math.fsum(err[r, :cnt[r]].tolist()) <= tol:
+                results[ids[r]] = total
+            else:
+                unconverged[r] = True
+                if limit[r]:
+                    stop = r
+                    break
+        if stop < ids.size:
+            tol = max(spec.abs_tol, spec.rel_tol * abs(math.fsum(val[stop, :cnt[stop]].tolist())))
+            pa, pb, _, perr, depth = w[stop].tolist()
+            raise _exhausted(pa, pb, int(depth), int(cnt[stop]), perr, tol)
+        if not unconverged.all():
+            keep = np.flatnonzero(unconverged)
+            if not keep.size:
+                break
+            ids, p, cnt, worst, w = ids[keep], p[keep], cnt[keep], worst[keep], w[keep]
+        # the halves of each worst panel: the left one replaces it, the
+        # right one is appended
+        halves = np.empty((ids.size, 2, 5))
+        halves[:, 0, 0], halves[:, 1, 1] = w[:, 0], w[:, 1]
+        halves[:, 0, 1] = halves[:, 1, 0] = 0.5 * (w[:, 0] + w[:, 1])
+        estimates = _estimates(f, ids.repeat(2), halves[:, :, 0].ravel(), halves[:, :, 1].ravel())
+        halves[:, :, 2], halves[:, :, 3] = (est.reshape(-1, 2) for est in estimates)
+        halves[:, :, 4] = w[:, 4:] + 1.0
+        if int(cnt.max()) == p.shape[1]:
+            p = np.concatenate((p, np.zeros_like(p)), axis=1)
+        rows = np.arange(ids.size)
+        p[rows, worst] = halves[:, 0]
+        p[rows, cnt] = halves[:, 1]
+        cnt += 1
+    return results
+
+
+def _proven_unconverged(val, err, spec: QuadratureSpec):
+    """Rows where the numpy sums prove fsum(err) > max(abs_tol, rel_tol*|fsum(val)|).
+
+    Summed in any order, n terms carry a rounding error of at most
+    (n - 1) 2^-53 times the sum of their magnitudes; r exceeds that with
+    room for the few roundings of the test itself and 2^-1060 covers
+    results in the subnormal range.  Rows whose sums come near overflow
+    are left to fsum, which raises there.
+    """
+    r = (val.shape[1] + 8) * 2.0 ** -52
+    total, size, error = val.sum(axis=1), np.abs(val).sum(axis=1), err.sum(axis=1)
+    bound = (np.maximum(spec.abs_tol, spec.rel_tol * (np.abs(total) + r * size)) * (1.0 + 2.0 * r)
+             + 2.0 ** -1060)
+    return (error * (1.0 - 2.0 * r) > bound) & (size < 1e300) & (error < 1e300)
 
 
 def _one(f):

@@ -14,8 +14,11 @@ the stated exponential accuracy is one of the package's main cross-checks.
 Also provided: the potential scaling function Psi = -log(Sigma)/rho and the
 strip force psi = d(log Sigma)/d(rho), the latter with the rho-derivative
 taken analytically on the series; psi_strip_batch gives the unit-aspect
-psi(x, 1) at many x that are used once, past the caches.  The package sums
-the series to DEFAULT_ORDER, and it holds for rho >= MIN_RHO.
+psi(x, 1) at many x that are used once, past the caches; and
+psi_with_x_dPsi_dx gives psi with x dPsi/dx, a Richardson-refined central
+difference, from the terms at its five nodes, built as one batch and cached
+per (x, N) so that every rho reads them.  The package sums the series to
+DEFAULT_ORDER, and it holds for rho >= MIN_RHO.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "Psi",
     "psi_strip",
     "psi_strip_batch",
+    "psi_with_x_dPsi_dx",
     "critical_series_coefficients",
 ]
 
@@ -239,29 +243,89 @@ def psi_strip(x: float, rho: float, N: int) -> float:
     return num / den
 
 
+def _terms_batch(xs, N: int) -> list[list[tuple[float, float]]]:
+    """_terms_up_to(x, N) for each x of xs, bit for bit, uncached: each x's
+    zeros serve both its weights and its terms, and the weights of all x
+    run as one batch."""
+    modes = range(1, batch_size(2 * N) + 1)
+    zeros = [[roots.find_zero(m, x) for m in modes] for x in xs]
+    return [_build_terms(zs, vs, N) for zs, vs in zip(zeros, weight_batch(xs, zeros))]
+
+
 def psi_strip_batch(xs) -> list[float]:
     """psi_strip(x, 1.0, DEFAULT_ORDER) for each x of xs, bit for bit, uncached.
 
-    For x used once, such as I2's quadrature nodes: each x's zeros serve both
-    its weights and its terms, and the weights of all x run as one batch.
-    Raises what psi_strip raises at the first x of xs where it fails.
+    For x used once, such as I2's quadrature nodes: the terms of all x come
+    from one _terms_batch.  Raises what psi_strip raises at the first x of
+    xs where it fails.
     """
+
+    def psi(xs):
+        sums = [_sums(terms, 1.0) for terms in _terms_batch(xs, DEFAULT_ORDER)]
+        return [num / den for num, den in sums]
+
     try:
-        return _psi_batch(xs)
+        return psi(xs)
     except (ArithmeticError, RuntimeError, ValueError):
         # the batch may meet a later x's failure first; x by x, the first
         # failing x raises what it raises alone
         for x in xs:
-            _psi_batch([x])
+            psi([x])
         raise
 
 
-def _psi_batch(xs) -> list[float]:
-    modes = range(1, batch_size(2 * DEFAULT_ORDER) + 1)
-    zeros = [[roots.find_zero(m, x) for m in modes] for x in xs]
-    sums = [_sums(_build_terms(zs, vs, DEFAULT_ORDER), 1.0)
-            for zs, vs in zip(zeros, weight_batch(xs, zeros))]
-    return [num / den for num, den in sums]
+def _step(x: float) -> float:
+    return max(1e-4, 1e-4 * abs(x))
+
+
+def _stencil(x: float) -> list[float]:
+    """The nodes [x, x + h/2, x - h/2, x + h, x - h] of the x-derivative,
+    h = _step(x); at x = 0, where the derivative term vanishes, only [x]."""
+    if x == 0.0:
+        return [x]
+    h = _step(x)
+    return [x, x + h / 2.0, x - h / 2.0, x + h, x - h]
+
+
+@lru_cache(maxsize=256, typed=True)
+def _stencil_terms(x: float, N: int) -> tuple[tuple[tuple[float, float], ...], ...]:
+    """The series terms to order N at each node of _stencil(x), one batch."""
+    return tuple(map(tuple, _terms_batch(_stencil(x), N)))
+
+
+def psi_with_x_dPsi_dx(x: float, rho: float, N: int) -> tuple[float, float]:
+    """(psi_strip(x, rho, N), x * dPsi/dx(x, rho)) from one cached batch per (x, N).
+
+    The derivative is the Richardson-refined central difference
+    (4 d(h/2) - d(h))/3 with d(s) = (Psi(x + s) - Psi(x - s))/(2s) and
+    h = _step(x), and 0 at x = 0.  The series terms at all nodes of
+    _stencil(x) come from _stencil_terms, so every rho reads them without
+    new zeros or weights.  Where that batch fails, the nodes are evaluated
+    one by one in _stencil's order, psi at x and then Psi at the others,
+    so the first failing step raises what it raises alone.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    _require_rho(rho)
+
+    def read(steps):
+        # psi at x, then Psi at the other nodes in order, each from its terms
+        num, den = _sums(next(steps), rho)
+        psi = num / den
+        return psi, [-math.log(_sums(terms, rho)[1]) / rho for terms in steps]
+
+    try:
+        terms = _stencil_terms(x, N)
+    except (ArithmeticError, RuntimeError, ValueError):
+        read(_terms_batch([node], N)[0] for node in _stencil(x))
+        raise
+    psi, Psi = read(iter(terms))
+    if not Psi:  # x = 0
+        return psi, 0.0
+    h = _step(x)
+    d_half = (Psi[0] - Psi[1]) / (2.0 * (h / 2.0))
+    d_full = (Psi[2] - Psi[3]) / (2.0 * h)
+    return psi, x * ((4.0 * d_half - d_full) / 3.0)
 
 
 def critical_series_coefficients(N: int) -> list[float]:

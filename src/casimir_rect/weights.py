@@ -31,8 +31,10 @@ integrand call, with x and the log factor broadcast per row.  The
 quadrature sums each panel with the dot product of a lone panel
 (np.vecdot), so each weight is bit-identical to the weight of its mode
 computed alone, the degenerate one included.  weight_v batches the modes
-at one x; weight_batch batches many x, uncached, for abscissae used once.
-weight_cached holds v_1..v_n per x, one batch per entry.
+at one x; weight_batch batches many x, uncached, for abscissae used once:
+the nodes of I2's quadrature calls and the five nodes of the series'
+x-derivative stencil.  weight_cached holds v_1..v_n per x, one batch per
+entry.
 """
 
 from __future__ import annotations

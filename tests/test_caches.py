@@ -9,6 +9,7 @@ BOUNDED = (
     roots.zero_cached,
     weights.weight_cached,
     sigma._terms_up_to,
+    sigma._stencil_terms,
     casimir.theta_sc,
     casimir.theta_volume_rho1,
 )
@@ -58,3 +59,14 @@ def test_cold_surface_corner_potential_caches_only_its_own_x():
     casimir.theta_sc(5.0)
     assert weights.weight_cached.cache_info().currsize <= 3
     assert roots.zero_cached.cache_info().currsize <= 3 * 16
+
+
+def test_cold_exchanged_force_caches_one_stencil_entry():
+    # the force below rho = 1 reads psi and x dPsi/dx at u = x rho for both
+    # rho = 1 and 1/rho from one stencil entry, past the per-x caches
+    for cached in (*BOUNDED, sigma.enumerate_sets):
+        cached.cache_clear()
+    casimir.vartheta_total(1.3, 0.7)
+    assert sigma._stencil_terms.cache_info().currsize == 1
+    for cached in (roots.zero_cached, weights.weight_cached, sigma._terms_up_to):
+        assert cached.cache_info().currsize == 0

@@ -284,7 +284,7 @@ class TestVarthetaTotal:
         upper = vartheta_total(x, 1.0)
         lower = (strip.vartheta_oo(x) - x_dtheta_sc(x)
                  - sigma.psi_strip(x, 1.0, 8)
-                 - casimir._x_dPsi_dx(x, 1.0, 8))
+                 - sigma.psi_with_x_dPsi_dx(x, 1.0, 8)[1])
         assert upper == pytest.approx(lower, abs=1e-8)
 
     def test_critical_exchange_formula(self):
@@ -327,7 +327,7 @@ class TestVarthetaTotal:
     @given(x=st.floats(-350.0, 1000.0))
     def test_branches_agree_across_rho1(self, x):
         # rho = 1 takes the strip branch, the next float below it the exchange
-        # branch; the finite differences in _x_dPsi_dx leave ~1e-10 relative
+        # branch; the finite differences of x dPsi/dx leave ~1e-10 relative
         below = vartheta_total(x, 1.0 - 1e-15)
         assert vartheta_total(x, 1.0) == pytest.approx(below, rel=1e-8, abs=1e-300)
 
@@ -341,6 +341,19 @@ class TestVarthetaTotal:
         for x in (-360.0, -379.0, -400.0, -1000.0):
             assert math.isfinite(vartheta_total(x, 1.0))
             assert math.isfinite(theta_total(x, 1.0))
+
+    @pytest.mark.parametrize("x, error, message", [
+        (-650.0, OverflowError, "math range error"),
+        (-700.0, QuadratureError, "non-finite integrand value in panel [0.0, 385.11054187439987]"),
+        (-1900.0, ZeroDivisionError, "float division by zero"),
+    ])
+    def test_exchanged_failures_pinned(self, x, error, message):
+        # u = x rho = -357.5, -385 and -1045: the weight prefactor's exp
+        # overflows, gamma_1^2 underflows, and the sinh map's scale is 0
+        with pytest.raises(error) as info:
+            vartheta_total(x, 0.55)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
     def test_x_dtheta_sc_finite_at_zero(self):
         # tends to -1/8, the corner log amplitude

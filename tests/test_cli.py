@@ -339,6 +339,9 @@ class TestExitCodes:
         (["vartheta-table", "--x-min", "0", "--x-max", "0", "--steps", "1", "--rho", "1e-155"], 2),
         (["theta-table", "--x-min", "1", "--x-max", "1", "--steps", "1", "--rho", "1e-200"], 2),
         (["vartheta-table", "--x-min", "1", "--x-max", "1", "--steps", "1", "--rho", "1e-200"], 2),
+        # x rho = 1e-301 is below I1's floor, but rho * rho == 0.0 is checked first
+        (["theta-table", "--x-min", "1e-101", "--x-max", "1e-101", "--steps", "1",
+          "--rho", "1e-200"], 2),
         # counts, orders and aspect ratios must be positive, even where no
         # library call would check them (the x = 0 row of the potential)
         (["weights", "--x", "1", "--count", "0"], 1),
@@ -354,6 +357,23 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["theta-table", "--x-min", "1e-101", "--x-max", "1e-101", "--steps", "1",
+         "--rho", "1e-200"],
+        ["theta-table", "--x-min", "1", "--x-max", "1", "--steps", "1", "--rho", "1e-200"],
+        ["vartheta-table", "--x-min", "1", "--x-max", "1", "--steps", "1", "--rho", "1e-200"],
+    ], ids=lambda v: "_".join(v))
+    def test_zero_rho_squared_fails_before_any_evaluation(self, capsys, monkeypatch, argv):
+        def evaluated(*args):
+            raise AssertionError("the exchanged value was evaluated")
+
+        for name in ("theta_total", "theta_sc", "x_dtheta_sc"):
+            monkeypatch.setattr(casimir, name, evaluated)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rho^-2 times the exchanged value at rho = 1e-200 overflows" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["weights", "--x=-380", "--count", "16"],

@@ -1,9 +1,12 @@
 """Quadrature module tests: analytic integrals, tolerances, determinism."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casimir_rect import quad, weights
 from casimir_rect.quad import (
@@ -149,6 +152,13 @@ def test_lockstep_non_finite_row_reports_panel():
         quad.integrate_lockstep(_stacked(cases), [0.0, 0.0], [1.0, 4.0])
 
 
+def test_overflowing_panel_sum_reports_panel():
+    # every integrand value is finite, but the Kronrod sum overflows
+    with pytest.raises(QuadratureError,
+                       match=r"non-finite value or error estimate in panel \[0.0, 10.0\]"):
+        integrate_finite(lambda t: np.full_like(t, 1e308), 0.0, 10.0)
+
+
 def test_lockstep_rejects_reversed_bounds():
     with pytest.raises(ValueError):
         quad.integrate_lockstep(_stacked(LOCKSTEP_CASES[:2]), [0.0, 1.0], [1.0, 0.0])
@@ -215,3 +225,98 @@ WEIGHTS_PINNED = {
 @pytest.mark.parametrize("x", sorted(WEIGHTS_PINNED))
 def test_weight_batch_pinned(x):
     assert [repr(r.v) for r in weights.weight_v(range(1, 17), x)] == WEIGHTS_PINNED[x]
+
+
+@pytest.mark.parametrize("k, form", [
+    (1, "_lockstep_lists"), (quad._ARRAY_MIN - 1, "_lockstep_lists"),
+    (quad._ARRAY_MIN, "_lockstep_arrays"), (90, "_lockstep_arrays"),
+])
+def test_bookkeeping_form_follows_batch_width(monkeypatch, k, form):
+    chosen = []
+    for name in ("_lockstep_lists", "_lockstep_arrays"):
+        monkeypatch.setattr(quad, name, lambda f, a, b, spec, name=name: chosen.append(name))
+    quad.integrate_lockstep(lambda nodes, owners: nodes, [0.0] * k, [1.0] * k)
+    assert chosen == [form]
+
+
+def test_array_bookkeeping_results_pinned():
+    got = quad._lockstep_arrays(_stacked(LOCKSTEP_CASES), [c[1] for c in LOCKSTEP_CASES],
+                                [c[2] for c in LOCKSTEP_CASES], quad.DEFAULT_SPEC)
+    assert [repr(v) for v in got] == [
+        "2.0000000000000004", "0.4842354014789664", "1.8856180831641625", "0.0",
+        "98.01289480295979",
+    ]
+
+
+def test_both_bookkeeping_forms_bisect_the_leftmost_of_equal_panels():
+    # a square wave has jumps at 1 and 2 in the equal panels [0.75, 1.5] and
+    # [1.5, 2.25]; the array form holds them in another order than the list
+    def f(nodes, owners):
+        return np.where(np.fmod(nodes, 2.0) > 1.0, 1.0, 0.0)
+
+    spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
+    for form in (quad._lockstep_lists, quad._lockstep_arrays):
+        with mock.patch.object(quad, "_MAX_DEPTH", 3):
+            with pytest.raises(QuadratureError, match=r"depth exhausted on panel \[0.75, 1.5\]"):
+                form(f, [0.0], [6.0], spec)
+
+
+def test_unconverged_only_where_the_numpy_sums_prove_it():
+    # numpy sums this row to one ulp above its exact, correctly rounded sum
+    row = [0.12500000000000017, 1.0000000000000016, 0.25000000000000017]
+    err = np.array([row])
+    assert float(err.sum(axis=1)[0]) > math.fsum(row)
+    at_limit = QuadratureSpec(rel_tol=1e-15, abs_tol=math.fsum(row))
+    assert not quad._proven_unconverged(np.zeros_like(err), err, at_limit)[0]
+    below = QuadratureSpec(rel_tol=1e-15, abs_tol=0.5)
+    assert quad._proven_unconverged(np.zeros_like(err), err, below)[0]
+
+
+# integrand families g(t, c) for the bookkeeping comparison: smooth, a kink
+# or a root singularity at c, a narrow peak, a step, and constants
+FAMILY = (
+    lambda t, c: np.sin(c * t),
+    lambda t, c: np.sqrt(np.abs(t - c)),
+    lambda t, c: 1.0 / (1e-3 * np.abs(c) + 1e-4 + (t - c) ** 2),
+    lambda t, c: np.exp(-np.abs(c) * t * t),
+    lambda t, c: np.where(t > c, 1.0, 0.0),
+    lambda t, c: np.zeros_like(t),
+    lambda t, c: c * np.ones_like(t),
+)
+
+
+def _outcome(form, f, a, b, spec):
+    try:
+        return [repr(v) for v in form(f, a, b, spec)]
+    except QuadratureError as e:
+        return repr(e)
+
+
+# (family, parameter, lower bound, width) per integral, zero widths included
+_ROW = st.tuples(st.integers(0, len(FAMILY) - 1), st.floats(-3.0, 3.0), st.floats(-5.0, 5.0),
+                 st.sampled_from([0.0, 0.5, 3.0, 8.0]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(rows=st.integers(1, 90).flatmap(lambda k: st.lists(_ROW, min_size=k, max_size=k)),
+       rel_tol=st.sampled_from([1e-3, 1e-8, 1e-12, 1e-15]),
+       abs_tol=st.sampled_from([1e-2, 1e-10, 1e-14, 1e-300]),
+       depth=st.sampled_from([3, 8, 20]))
+def test_list_and_array_bookkeeping_agree(rows, rel_tol, abs_tol, depth):
+    # the same decisions in both forms: bit-identical values, or the same
+    # error naming the same panel
+    kind, c = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+
+    def f(nodes, owners):
+        out = np.empty_like(nodes)
+        for j in set(kind[owners].tolist()):
+            mine = kind[owners] == j
+            out[mine] = FAMILY[j](nodes[mine], c[owners[mine]])
+        return out
+
+    a = [r[2] for r in rows]
+    b = [lo + width for lo, (_, _, _, width) in zip(a, rows)]
+    spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=abs_tol)
+    with mock.patch.object(quad, "_MAX_DEPTH", depth):
+        assert (_outcome(quad._lockstep_lists, f, a, b, spec)
+                == _outcome(quad._lockstep_arrays, f, a, b, spec))

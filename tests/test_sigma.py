@@ -223,6 +223,46 @@ class TestPsiStripBatch:
         assert str(info.value) == str(want)
 
 
+def _x_dPsi_dx_per_x(x, rho, N):
+    """x dPsi/dx by the per-x route: Richardson-refined central differences of Psi."""
+    if x == 0.0:
+        return 0.0
+    h = max(1e-4, 1e-4 * abs(x))
+
+    def d(step):
+        return (Psi(x + step, rho, N) - Psi(x - step, rho, N)) / (2.0 * step)
+
+    return x * ((4.0 * d(h / 2.0) - d(h)) / 3.0)
+
+
+class TestStencil:
+    # x = 5e-5 puts its node x - h/2 on x = 0 (closed-form weights); x = -1
+    # is the degenerate first zero, with nodes on both weight routes around
+    # it; x = -1 + 1e-4 puts its node x - h on x = -1
+    @pytest.mark.parametrize("x", [-20.0, -2.5, -1.0, -1.0 + 1e-4, 0.0, 5e-5, 0.91, 12.0])
+    @pytest.mark.parametrize("rho", [1.0, 1.6])
+    @pytest.mark.parametrize("N", [3, 8, 10])
+    def test_equals_per_x_route_bit_for_bit(self, x, rho, N):
+        got = sigma.psi_with_x_dPsi_dx(x, rho, N)
+        assert repr(got) == repr((psi_strip(x, rho, N), _x_dPsi_dx_per_x(x, rho, N)))
+
+    def test_raises_as_the_first_failing_node(self, monkeypatch):
+        # with h = 80 the nodes are -360 (math.exp overflows after its weight
+        # integrals), -320, -400 (fails inside them), -280 and -440, so the
+        # batch meets -400 first; node by node, -360 fails first
+        with pytest.raises(OverflowError) as alone:
+            psi_strip(-360.0, 1.0, 8)
+        monkeypatch.setattr(sigma, "_step", lambda x: 80.0)
+        with pytest.raises(OverflowError) as info:
+            sigma.psi_with_x_dPsi_dx(-360.0, 1.0, 8)
+        assert str(info.value) == str(alone.value)
+
+    @pytest.mark.parametrize("rho, N", [(0.4, 8), (math.nan, 8), (1.0, 0)])
+    def test_rejects_what_psi_strip_rejects(self, rho, N):
+        with pytest.raises(ValueError):
+            sigma.psi_with_x_dPsi_dx(0.5, rho, N)
+
+
 class TestTermBuilder:
     @pytest.mark.parametrize("x", [-2.5, -1.0, 0.0, 0.7, 12.0])
     @pytest.mark.parametrize("N", [3, 8, 10])
