@@ -12,31 +12,31 @@ the same shape; a callable that only accepts scalars raises on its first
 panel.  Results are deterministic: identical inputs produce bit-identical
 outputs.
 
-One adaptive loop, integrate_lockstep, serves them all.  It runs k
-independent integrals in lockstep rounds: each unconverged integral keeps
-its own panels, tolerance test and limits, bisects its own worst panel,
-and the halves of all of them go to the integrand in one call, with an
-array saying which integral each node belongs to.  integrate_finite is its
-one-integral case; the sqrt-singularity and sinh-map routes have lockstep
-forms, each integral with its own end point or scale, for integrands that
-share one kernel, such as the mode weights.
-np.vecdot takes each panel row's sums with the same dot product as for a
-panel evaluated alone; a matrix product over all rows sums in another order
-and changes the last bits, so lockstep results would differ from lone ones.
+There is one adaptive loop per call shape.  integrate_finite runs one
+integral: it bisects the panel of largest error estimate, the leftmost of
+equals, evaluates both halves in one call of f, and stops when math.fsum of
+the estimates meets the tolerance.  integrate_lockstep runs k independent
+integrals in lockstep rounds: each unconverged integral keeps its own
+panels, tolerance test and limits, bisects its own worst panel, and the
+halves of all of them go to the integrand in one call, with an array saying
+which integral each node belongs to.  Its panels sit in (k x capacity)
+arrays, so a round's bookkeeping is a few numpy calls instead of a Python
+loop over the integrals; a batch of one integral runs integrate_finite's
+loop.  The sqrt-singularity and sinh-map routes have lockstep forms, each
+integral with its own end point or scale, for integrands that share one
+kernel, such as the mode weights.
+
+Each lockstep row equals integrate_finite on its integral alone, bit for
+bit, errors included.  np.vecdot takes each panel row's sums with the same
+dot product as for a panel evaluated alone; a matrix product over all rows
+sums in another order and changes the last bits.  A row counts unconverged
+without fsum only where a bound on the rounding of the numpy sums proves
+fsum would; every other row gets the exact fsum test, and fsum is correctly
+rounded, so the order of a row's panels does not matter.  The worst panel
+of a row is the one of largest error with the smallest lower end, the one
+integrate_finite finds first.
 A panel whose integrand values, Kronrod value or error estimate are not
 finite raises QuadratureError naming it.
-
-The loop keeps its panels in one of two forms, chosen by the number of
-integrals: below _ARRAY_MIN, per-integral lists in order of position, with
-math.fsum for each tolerance test; from _ARRAY_MIN on, (k x capacity)
-arrays, so each round's bookkeeping is a few numpy calls instead of a
-Python loop over the integrals.  Both make the same decisions, so their
-results are bit-identical: the array form counts a row unconverged without
-fsum only where a bound on the rounding of the numpy sums proves fsum
-would, gives every other row the exact fsum test (fsum is correctly
-rounded, so the order of a row's panels does not matter), and bisects the
-panel of largest error with the smallest lower end, the one the list form
-finds first.
 """
 
 from __future__ import annotations
@@ -167,10 +167,63 @@ def _exhausted(pa: float, pb: float, depth: int, panels: int, perr: float, tol: 
     return None
 
 
-# From this many integrals on, integrate_lockstep keeps its panels in arrays;
-# below it, the numpy calls of a round cost more than the Python loop they
-# save (measured: 16-mode weight batches and single theta_oo integrals)
-_ARRAY_MIN = 32
+def _bounds(a, b) -> tuple[list[float], list[float]]:
+    """a and b as float lists; ValueError unless equal in length, finite and a <= b."""
+    a = [float(v) for v in a]
+    b = [float(v) for v in b]
+    if len(a) != len(b):
+        raise ValueError(f"{len(a)} lower and {len(b)} upper integration bounds")
+    if not all(map(math.isfinite, a + b)):
+        raise ValueError("integration bounds must be finite")
+    if any(lo > hi for lo, hi in zip(a, b)):
+        raise ValueError("integration bounds must satisfy a <= b")
+    return a, b
+
+
+def _one(f):
+    """A node-array integrand f(nodes) as the integrand of a single lockstep integral."""
+    return lambda nodes, owners: f(nodes)
+
+
+def integrate_finite(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+    """Integrate f over [a, b] to max(abs_tol, rel_tol*|I|).
+
+    Globally adaptive: the panel of largest error estimate (the leftmost
+    of equals) is bisected until the summed estimate meets the tolerance.
+    Raises ValueError for non-finite or reversed bounds, and
+    QuadratureError when the worst panel has had _MAX_DEPTH bisections or
+    the budget is spent.
+    """
+    (a,), (b,) = _bounds([a], [b])
+    return _adaptive(_one(f), a, b, spec)
+
+
+def _adaptive(f, a: float, b: float, spec: QuadratureSpec) -> float:
+    """integrate_finite's loop, for a lockstep integrand f(nodes, owners) of one integral."""
+    if a == b:
+        return 0.0
+    # panel j is [los[j], his[j]], bisected deps[j] times, with Kronrod
+    # value vals[j] and error estimate errs[j]
+    los, his, deps = [a], [b], [0]
+    vals, errs = (est.tolist() for est in _estimates(f, (0,), los, his))
+    while True:
+        total = math.fsum(vals)
+        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+        if math.fsum(errs) <= tol:
+            return total
+        perr = max(errs)
+        worst = errs.index(perr)
+        pa, pb, depth = los[worst], his[worst], deps[worst]
+        error = _exhausted(pa, pb, depth, len(errs), perr, tol)
+        if error is not None:
+            raise error
+        pm = 0.5 * (pa + pb)
+        new_vals, new_errs = _estimates(f, (0, 0), [pa, pm], [pm, pb])
+        los[worst:worst + 1] = pa, pm
+        his[worst:worst + 1] = pm, pb
+        vals[worst:worst + 1] = new_vals.tolist()
+        errs[worst:worst + 1] = new_errs.tolist()
+        deps[worst:worst + 1] = depth + 1, depth + 1
 
 
 def integrate_lockstep(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC) -> list[float]:
@@ -178,89 +231,35 @@ def integrate_lockstep(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC) -> list[flo
 
     f(nodes, owners) takes a 1-D node array and the index of the integral
     each node belongs to, and returns the integrand values at the nodes.
-    Each integral is globally adaptive on its own: the panel with the
-    largest error estimate (the leftmost of equals) is bisected until the
-    summed estimate meets the tolerance.  The integrals advance in
-    lockstep, so each round evaluates the bisected panels of all
-    unconverged integrals in one call of f.  Raises ValueError for
-    non-finite or reversed bounds, and QuadratureError when a worst panel
-    has had _MAX_DEPTH bisections or the budget is spent.
+    The integrals advance in lockstep, each round evaluating the bisected
+    panels of all unconverged ones in one call of f.  Result i is
+    integrate_finite's on integral i alone, and a QuadratureError is the
+    one of a failing integral alone.  Raises ValueError for bounds of
+    unequal lengths, non-finite or reversed.
     """
-    a = [float(v) for v in a]
-    b = [float(v) for v in b]
-    if not all(map(math.isfinite, a + b)):
-        raise ValueError("integration bounds must be finite")
-    if any(lo > hi for lo, hi in zip(a, b)):
-        raise ValueError("integration bounds must satisfy a <= b")
-    return (_lockstep_arrays if len(a) >= _ARRAY_MIN else _lockstep_lists)(f, a, b, spec)
-
-
-def _lockstep_lists(f, a, b, spec: QuadratureSpec) -> list[float]:
-    """integrate_lockstep's rounds with each integral's panels in lists, in order."""
+    a, b = _bounds(a, b)
+    if len(a) == 1:
+        return [_adaptive(f, a[0], b[0], spec)]
     results = [0.0] * len(a)
-    active = [i for i in range(len(a)) if a[i] != b[i]]
-    # panel j of integral i is [los[i][j], his[i][j]], bisected deps[i][j]
-    # times, with Kronrod value vals[i][j] and error estimate errs[i][j]
-    los, his = {i: [a[i]] for i in active}, {i: [b[i]] for i in active}
-    deps = {i: [0] for i in active}
-    first = _estimates(f, active, [a[i] for i in active], [b[i] for i in active])
-    vals, errs = ({i: [v] for i, v in zip(active, est.tolist())} for est in first)
-    while active:
-        splits, owners, new_los, new_his = [], [], [], []
-        for i in active:
-            total = math.fsum(vals[i])
-            tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-            if math.fsum(errs[i]) <= tol:
-                results[i] = total
-                continue
-            perr = max(errs[i])
-            worst = errs[i].index(perr)
-            pa, pb, depth = los[i][worst], his[i][worst], deps[i][worst]
-            error = _exhausted(pa, pb, depth, len(errs[i]), perr, tol)
-            if error is not None:
-                raise error
-            pm = 0.5 * (pa + pb)
-            splits.append((i, worst, depth + 1))
-            owners += (i, i)
-            new_los += (pa, pm)
-            new_his += (pm, pb)
-        new_vals, new_errs = (est.tolist() for est in _estimates(f, owners, new_los, new_his))
-        for n, (i, worst, depth) in enumerate(splits):
-            halves = slice(2 * n, 2 * n + 2)
-            for own, new in ((los, new_los), (his, new_his), (vals, new_vals), (errs, new_errs)):
-                own[i][worst:worst + 1] = new[halves]
-            deps[i][worst:worst + 1] = (depth, depth)
-        active = [split[0] for split in splits]
-    return results
-
-
-def _lockstep_arrays(f, a, b, spec: QuadratureSpec) -> list[float]:
-    """integrate_lockstep's rounds with the panels in arrays, same decisions.
-
-    Row r holds the panels of integral ids[r] in its first cnt[r] columns,
-    in no particular order, and zeros after them.  The list form's tests
-    are reproduced exactly: fsum is exact, so it does not care about the
-    order; the leftmost panel of largest error is the one of smallest lo
-    (a panel that shares its lo with another has zero width and no error);
-    and a row is counted unconverged without fsum only where the numpy sums
-    prove it.
-    """
-    results = [0.0] * len(a)
+    # row r holds the panels of integral ids[r] in its first cnt[r] columns,
+    # in no particular order, and zeros after them; p[r, j] = (lo, hi,
+    # Kronrod value, error estimate, bisections) of a panel
     ids = np.array([i for i in range(len(a)) if a[i] != b[i]], dtype=np.int64)
-    # p[r, j] = (lo, hi, Kronrod value, error estimate, bisections) of a panel
     p = np.zeros((ids.size, 8, 5))
-    p[:, 0, 0] = [a[i] for i in ids.tolist()]
-    p[:, 0, 1] = [b[i] for i in ids.tolist()]
+    p[:, 0, :2] = np.column_stack((a, b))[ids]
     p[:, 0, 2], p[:, 0, 3] = _estimates(f, ids, p[:, 0, 0], p[:, 0, 1])
     cnt = np.ones(ids.size, dtype=np.int64)
     while ids.size:
         lo, val, err = p[:, :, 0], p[:, :, 2], p[:, :, 3]
         unconverged = _proven_unconverged(val, err, spec)
+        # the leftmost panel of largest error is the one of smallest lo (a
+        # panel that shares its lo with another has zero width and no error)
         worst = np.where(err == err.max(axis=1, keepdims=True), lo, np.inf).argmin(axis=1)
         w = p[np.arange(ids.size), worst]
         limit = (w[:, 4] >= _MAX_DEPTH) | (cnt >= _MAX_PANELS)
         # rows are tested in order, so nothing after the first proven
-        # unconverged row at its limit is tested, as in the list form
+        # unconverged row at its limit is tested; the others get the exact
+        # fsum test, which does not care about the order of a row's panels
         doomed = unconverged & limit
         stop = int(np.argmax(doomed)) if doomed.any() else ids.size
         for r in np.flatnonzero(~unconverged[:stop]).tolist():
@@ -313,20 +312,6 @@ def _proven_unconverged(val, err, spec: QuadratureSpec):
     bound = (np.maximum(spec.abs_tol, spec.rel_tol * (np.abs(total) + r * size)) * (1.0 + 2.0 * r)
              + 2.0 ** -1060)
     return (error * (1.0 - 2.0 * r) > bound) & (size < 1e300) & (error < 1e300)
-
-
-def _one(f):
-    """A node-array integrand f(nodes) as the integrand of a single lockstep integral."""
-    return lambda nodes, owners: f(nodes)
-
-
-def integrate_finite(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Integrate f over [a, b] to max(abs_tol, rel_tol*|I|).
-
-    The one-integral case of integrate_lockstep: each round bisects the
-    worst panel and evaluates both halves in one call of f.
-    """
-    return integrate_lockstep(_one(f), [a], [b], spec)[0]
 
 
 def _truncation_points(f, starts, spec: QuadratureSpec) -> list[float]:
@@ -394,6 +379,8 @@ def integrate_sinh_map_lockstep(f, scale, upper,
                                 spec: QuadratureSpec = DEFAULT_SPEC) -> list[float]:
     """integrate_sinh_map for len(scale) integrands f(w, owners) in lockstep,
     integral i with its own scale[i] and upper[i]."""
+    if len(scale) != len(upper):
+        raise ValueError(f"{len(scale)} scales and {len(upper)} upper bounds")
     scale = np.asarray(scale, dtype=float)
 
     def transformed(u: np.ndarray, owners: np.ndarray) -> np.ndarray:

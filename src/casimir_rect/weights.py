@@ -40,6 +40,7 @@ entry.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
@@ -139,7 +140,16 @@ def _contour_weights(xs, zeros) -> list[list[float]]:
     The (x, mode) integrals run as one lockstep per group of x that share
     the route and the sign: the sqrt route for x >= -1, the sinh route for
     x < -1.  Each weight is bit-identical to the one of its mode and x alone.
+    Raises QuadratureError at once where a batch holds mode 1 at an x whose
+    gamma_1^2 is subnormal (x from about -360.6 to -379): there the sinh
+    route's spike is too narrow for the doubles and its integrals would run
+    to the panel budget.
     """
+    for x, zs in zip(xs, zeros):
+        g2 = next((z.gamma * z.gamma for z in zs if z.mu == 1), 0.0)
+        if 0.0 < g2 < sys.float_info.min:
+            raise quad.QuadratureError(f"gamma_1^2 = {g2:.3e} is subnormal at x = {x}; "
+                                       "the weight integrals cannot converge")
     groups: dict[tuple[bool, bool], list[tuple[int, int]]] = {}
     for i, x in enumerate(xs):
         groups.setdefault((x >= -1.0, x >= 0.0), []).extend((i, k) for k in range(len(zeros[i])))

@@ -334,9 +334,10 @@ class TestVarthetaTotal:
     @pytest.mark.xfail(strict=True, raises=(OverflowError, QuadratureError, ZeroDivisionError),
                        reason=(
         "the weights are carried in the linear domain: at x = -360 the prefactor's "
-        "exp overflows, at -379 and -400 gamma_1^2 underflows and the weight "
-        "integrand is non-finite, at -1000 a division by zero; log-domain weights "
-        "would make all four finite"))
+        "exp overflows, at -379 gamma_1^2 is subnormal and the weights raise before "
+        "any quadrature, at -400 it underflows to 0 and the weight integrand is "
+        "non-finite, at -1000 a division by zero; log-domain weights would make all "
+        "four finite"))
     def test_finite_at_large_negative_x(self):
         for x in (-360.0, -379.0, -400.0, -1000.0):
             assert math.isfinite(vartheta_total(x, 1.0))

@@ -3,6 +3,7 @@
 import json
 import math
 import runpy
+import time
 import warnings
 from pathlib import Path
 
@@ -389,6 +390,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: non-finite integrand value in panel")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["weights", "--x=-370", "--count", "16"],
+        ["vartheta-table", "--x-min=-370", "--x-max=-370", "--steps", "1", "--rho", "1"],
+    ], ids=["weights", "vartheta-table"])
+    def test_subnormal_gamma_1_fails_at_once(self, capsys, argv):
+        # gamma_1^2 = 2.3e-316 at x = -370: the weights raise before any
+        # quadrature instead of running to the panel budget for minutes
+        start = time.perf_counter()
+        assert cli.main(argv) == 2
+        assert time.perf_counter() - start < 10.0
+        err = capsys.readouterr().err
+        assert err == ("numerical failure: gamma_1^2 = 2.294e-316 is subnormal at x = -370.0; "
+                       "the weight integrals cannot converge\n")
 
     @pytest.mark.parametrize("x, err", [
         ("-347", "numerical failure: math range error\n"),

@@ -123,6 +123,14 @@ def _stacked(cases):
     return f
 
 
+def _outcome(run):
+    """The reprs of run()'s values, or the repr of the QuadratureError it raises."""
+    try:
+        return [repr(v) for v in run()]
+    except QuadratureError as e:
+        return repr(e)
+
+
 def test_lockstep_equals_separate_integrals_bit_for_bit():
     got = quad.integrate_lockstep(_stacked(LOCKSTEP_CASES), [c[1] for c in LOCKSTEP_CASES],
                                   [c[2] for c in LOCKSTEP_CASES])
@@ -157,6 +165,17 @@ def test_overflowing_panel_sum_reports_panel():
     with pytest.raises(QuadratureError,
                        match=r"non-finite value or error estimate in panel \[0.0, 10.0\]"):
         integrate_finite(lambda t: np.full_like(t, 1e308), 0.0, 10.0)
+
+
+def test_lockstep_rejects_bounds_of_unequal_length():
+    def f(nodes, owners):
+        raise AssertionError("integrand called")
+
+    for a, b in (([0.0], [1.0, 2.0]), ([0.0, 0.0], [1.0])):
+        with pytest.raises(ValueError, match="lower and .* upper integration bounds"):
+            quad.integrate_lockstep(f, a, b)
+    with pytest.raises(ValueError, match="1 scales and 2 upper bounds"):
+        quad.integrate_sinh_map_lockstep(f, [0.1], [1.0, 2.0])
 
 
 def test_lockstep_rejects_reversed_bounds():
@@ -196,14 +215,16 @@ def test_batched_panel_sums_equal_lone_dot_products():
 
 
 # Recorded before the panel sums were batched with np.vecdot; any change to
-# the engine that moves a last bit shows here first.
+# either loop that moves a last bit shows here first.
+LOCKSTEP_PINNED = [
+    "2.0000000000000004", "0.4842354014789664", "1.8856180831641625", "0.0", "98.01289480295979",
+]
+
+
 def test_lockstep_results_pinned():
-    got = quad.integrate_lockstep(_stacked(LOCKSTEP_CASES), [c[1] for c in LOCKSTEP_CASES],
-                                  [c[2] for c in LOCKSTEP_CASES])
-    assert [repr(v) for v in got] == [
-        "2.0000000000000004", "0.4842354014789664", "1.8856180831641625", "0.0",
-        "98.01289480295979",
-    ]
+    # one integral per call: integrate_finite's loop
+    got = [quad.integrate_lockstep(_stacked([c]), [c[1]], [c[2]])[0] for c in LOCKSTEP_CASES]
+    assert [repr(v) for v in got] == LOCKSTEP_PINNED
 
 
 WEIGHTS_PINNED = {
@@ -227,38 +248,41 @@ def test_weight_batch_pinned(x):
     assert [repr(r.v) for r in weights.weight_v(range(1, 17), x)] == WEIGHTS_PINNED[x]
 
 
-@pytest.mark.parametrize("k, form", [
-    (1, "_lockstep_lists"), (quad._ARRAY_MIN - 1, "_lockstep_lists"),
-    (quad._ARRAY_MIN, "_lockstep_arrays"), (90, "_lockstep_arrays"),
-])
-def test_bookkeeping_form_follows_batch_width(monkeypatch, k, form):
-    chosen = []
-    for name in ("_lockstep_lists", "_lockstep_arrays"):
-        monkeypatch.setattr(quad, name, lambda f, a, b, spec, name=name: chosen.append(name))
-    quad.integrate_lockstep(lambda nodes, owners: nodes, [0.0] * k, [1.0] * k)
-    assert chosen == [form]
-
-
 def test_array_bookkeeping_results_pinned():
-    got = quad._lockstep_arrays(_stacked(LOCKSTEP_CASES), [c[1] for c in LOCKSTEP_CASES],
-                                [c[2] for c in LOCKSTEP_CASES], quad.DEFAULT_SPEC)
-    assert [repr(v) for v in got] == [
-        "2.0000000000000004", "0.4842354014789664", "1.8856180831641625", "0.0",
-        "98.01289480295979",
-    ]
+    # all integrals in one call: the (k x capacity) arrays
+    got = quad.integrate_lockstep(_stacked(LOCKSTEP_CASES), [c[1] for c in LOCKSTEP_CASES],
+                                  [c[2] for c in LOCKSTEP_CASES])
+    assert [repr(v) for v in got] == LOCKSTEP_PINNED
 
 
-def test_both_bookkeeping_forms_bisect_the_leftmost_of_equal_panels():
+def test_both_bookkeeping_forms_bisect_the_leftmost_of_equal_panels(monkeypatch):
     # a square wave has jumps at 1 and 2 in the equal panels [0.75, 1.5] and
-    # [1.5, 2.25]; the array form holds them in another order than the list
-    def f(nodes, owners):
+    # [1.5, 2.25]; integrate_lockstep's arrays hold them in another order
+    # than integrate_finite's lists
+    def wave(nodes):
         return np.where(np.fmod(nodes, 2.0) > 1.0, 1.0, 0.0)
 
+    monkeypatch.setattr(quad, "_MAX_DEPTH", 3)
     spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
-    for form in (quad._lockstep_lists, quad._lockstep_arrays):
-        with mock.patch.object(quad, "_MAX_DEPTH", 3):
-            with pytest.raises(QuadratureError, match=r"depth exhausted on panel \[0.75, 1.5\]"):
-                form(f, [0.0], [6.0], spec)
+    leftmost = r"depth exhausted on panel \[0.75, 1.5\]"
+    with pytest.raises(QuadratureError, match=leftmost):
+        integrate_finite(wave, 0.0, 6.0, spec)
+    with pytest.raises(QuadratureError, match=leftmost):
+        quad.integrate_lockstep(_stacked([(wave, 0.0, 6.0), (np.zeros_like, 0.0, 1.0)]),
+                                [0.0, 0.0], [6.0, 1.0], spec)
+
+
+def test_one_integral_lockstep_is_integrate_finite(monkeypatch):
+    # a value within three bisections, then the depth error naming [0.0, 0.125]
+    monkeypatch.setattr(quad, "_MAX_DEPTH", 3)
+    g = lambda t: np.sqrt(np.abs(t))  # noqa: E731
+    for spec, expected in ((QuadratureSpec(rel_tol=1e-3, abs_tol=1e-3), ["0.6666801255484176"]),
+                           (QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300),
+                            "QuadratureError('adaptive depth exhausted on panel [0.0, 0.125] "
+                            "(error estimate 1.030e-05, requested 6.667e-16)')")):
+        assert _outcome(lambda: [integrate_finite(g, 0.0, 1.0, spec)]) == expected
+        assert _outcome(lambda: quad.integrate_lockstep(_stacked([(g, 0.0, 1.0)]), [0.0], [1.0],
+                                                        spec)) == expected
 
 
 def test_unconverged_only_where_the_numpy_sums_prove_it():
@@ -285,13 +309,6 @@ FAMILY = (
 )
 
 
-def _outcome(form, f, a, b, spec):
-    try:
-        return [repr(v) for v in form(f, a, b, spec)]
-    except QuadratureError as e:
-        return repr(e)
-
-
 # (family, parameter, lower bound, width) per integral, zero widths included
 _ROW = st.tuples(st.integers(0, len(FAMILY) - 1), st.floats(-3.0, 3.0), st.floats(-5.0, 5.0),
                  st.sampled_from([0.0, 0.5, 3.0, 8.0]))
@@ -303,8 +320,9 @@ _ROW = st.tuples(st.integers(0, len(FAMILY) - 1), st.floats(-3.0, 3.0), st.float
        abs_tol=st.sampled_from([1e-2, 1e-10, 1e-14, 1e-300]),
        depth=st.sampled_from([3, 8, 20]))
 def test_list_and_array_bookkeeping_agree(rows, rel_tol, abs_tol, depth):
-    # the same decisions in both forms: bit-identical values, or the same
-    # error naming the same panel
+    # each integrate_lockstep row equals integrate_finite on its integral
+    # alone, bit for bit, and a failing batch raises the lone error of one
+    # of its failing rows
     kind, c = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
 
     def f(nodes, owners):
@@ -318,5 +336,11 @@ def test_list_and_array_bookkeeping_agree(rows, rel_tol, abs_tol, depth):
     b = [lo + width for lo, (_, _, _, width) in zip(a, rows)]
     spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=abs_tol)
     with mock.patch.object(quad, "_MAX_DEPTH", depth):
-        assert (_outcome(quad._lockstep_lists, f, a, b, spec)
-                == _outcome(quad._lockstep_arrays, f, a, b, spec))
+        batch = _outcome(lambda: quad.integrate_lockstep(f, a, b, spec))
+        lone = [_outcome(lambda: [integrate_finite(lambda t: f(t, np.full(t.size, i)), lo, hi,
+                                                   spec)])
+                for i, (lo, hi) in enumerate(zip(a, b))]
+    if isinstance(batch, str):
+        assert batch in lone
+    else:
+        assert [batch[i:i + 1] for i in range(len(a))] == lone
