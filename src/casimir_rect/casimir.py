@@ -72,6 +72,8 @@ __all__ = [
 I_SPEC = QuadratureSpec(rel_tol=1e-12, abs_tol=5e-12)
 # I1 is the sum of two integrals, each held to half the absolute tolerance
 _I1_PART_SPEC = QuadratureSpec(rel_tol=I_SPEC.rel_tol, abs_tol=0.5 * I_SPEC.abs_tol)
+# the smallest |x| at which I1, and so the potential, is evaluated
+_X_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -87,6 +89,8 @@ class ScalingPoint:
     rho: float
 
     def __post_init__(self):
+        if not math.isfinite(self.x):
+            raise ValueError(f"scaling variable must be finite, got {self.x}")
         if not (self.rho > 0.0 and math.isfinite(self.rho)):
             raise ValueError("aspect ratio must be positive and finite")
 
@@ -125,8 +129,8 @@ def integral_I1(x_vol: float) -> float:
     _require_finite(x_vol)
     if x_vol == 0.0:
         raise ValueError("logarithmically divergent at x_vol = 0")
-    if abs(x_vol) < 1e-300:
-        raise ValueError(f"|x_vol| < 1e-300 is beyond double precision here, got {x_vol}")
+    if abs(x_vol) < _X_FLOOR:
+        raise ValueError(f"|x_vol| < {_X_FLOOR} is beyond double precision here, got {x_vol}")
     x = x_vol
 
     def integrand(s: np.ndarray) -> np.ndarray:
@@ -242,7 +246,8 @@ def theta_total(x: float, rho: float) -> float:
     Undefined at x = 0 for finite rho (logarithmic corner divergence); the
     finite critical quantity is casimir_amplitude.  For rho < 1 the
     exchange symmetry theta(x, rho) = rho^-2 theta(x rho, 1/rho) is used;
-    from rho ~ 2e-155 down, rho^-2 overflows it (OverflowError).
+    from rho ~ 2e-155 down, rho^-2 overflows it (OverflowError), and
+    |x rho| < 1e-300 raises ValueError.
     """
     return theta_column(x, (rho,))[0]
 
@@ -259,8 +264,16 @@ def theta_column(x: float, rhos: Sequence[float]) -> list[float]:
     _require_positive(rhos)
     oo = strip.theta_oo(x) if any(rho >= 1.0 for rho in rhos) else None
     return [oo + theta_sc(x) / rho + sigma.Psi(x, rho, DEFAULT_ORDER) if rho >= 1.0
-            else _exchanged(lambda: theta_total(x * rho, 1.0 / rho), rho)
+            else _exchanged(lambda: _theta_exchanged(x, rho), rho)
             for rho in rhos]
+
+
+def _theta_exchanged(x: float, rho: float) -> float:
+    """theta_total(x rho, 1/rho), refused where |x rho| is below I1's floor."""
+    if abs(x * rho) < _X_FLOOR:
+        raise ValueError(f"|x rho| < {_X_FLOOR} is beyond double precision here, "
+                         f"got x = {x}, rho = {rho}")
+    return theta_total(x * rho, 1.0 / rho)
 
 
 def _exchanged(value, rho: float) -> float:

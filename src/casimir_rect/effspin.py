@@ -72,6 +72,11 @@ def _balanced_configs(n_spins: int):
                 yield occ_o + occ_e
 
 
+def _require_rho(rho: float) -> None:
+    if not (rho > 0.0 and math.isfinite(rho)):
+        raise ValueError(f"rho must be positive and finite, got {rho}")
+
+
 def _config_log_weight(model: EffectiveModel, occ, rho: float) -> float:
     total = 0.0
     for a, b in combinations(occ, 2):
@@ -87,6 +92,7 @@ def enumerate_partition(model: EffectiveModel, rho: float) -> float:
     and maps one-to-one onto a subset-series term a_s exp(-rho Gamma_s);
     the empty configuration contributes 1.
     """
+    _require_rho(rho)
     return math.fsum(math.exp(_config_log_weight(model, occ, rho))
                      for occ in _balanced_configs(model.n_spins))
 
@@ -98,6 +104,7 @@ def matched_series(x: float, rho: float, n_spins: int) -> float:
     run over the same balanced index sets, so the two must agree to
     rounding, not merely to truncation order.
     """
+    _require_rho(rho)
     total = 1.0
     for occ in _balanced_configs(n_spins):
         if not occ:
@@ -113,6 +120,7 @@ def magnetization(model: EffectiveModel, rho: float) -> float:
     Equals minus the strip Casimir force scaling function on matched
     truncations.
     """
+    _require_rho(rho)
     z = 0.0
     m = 0.0
     for occ in _balanced_configs(model.n_spins):

@@ -34,7 +34,8 @@ without fsum only where a bound on the rounding of the numpy sums proves
 fsum would; every other row gets the exact fsum test, and fsum is correctly
 rounded, so the order of a row's panels does not matter.  The worst panel
 of a row is the one of largest error with the smallest lower end, the one
-integrate_finite finds first.
+integrate_finite finds first.  A round tests its rows in index order, and
+the first row unconverged at its depth or panel limit raises.
 A panel whose integrand values, Kronrod value or error estimate are not
 finite raises QuadratureError naming it.
 """
@@ -233,9 +234,10 @@ def integrate_lockstep(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC) -> list[flo
     each node belongs to, and returns the integrand values at the nodes.
     The integrals advance in lockstep, each round evaluating the bisected
     panels of all unconverged ones in one call of f.  Result i is
-    integrate_finite's on integral i alone, and a QuadratureError is the
-    one of a failing integral alone.  Raises ValueError for bounds of
-    unequal lengths, non-finite or reversed.
+    integrate_finite's on integral i alone.  In the first round where an
+    integral is unconverged at its depth or panel limit, the lowest-index
+    such integral raises the QuadratureError it raises alone.  Raises
+    ValueError for bounds of unequal lengths, non-finite or reversed.
     """
     a, b = _bounds(a, b)
     if len(a) == 1:
@@ -257,29 +259,22 @@ def integrate_lockstep(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC) -> list[flo
         worst = np.where(err == err.max(axis=1, keepdims=True), lo, np.inf).argmin(axis=1)
         w = p[np.arange(ids.size), worst]
         limit = (w[:, 4] >= _MAX_DEPTH) | (cnt >= _MAX_PANELS)
-        # rows are tested in order, so nothing after the first proven
-        # unconverged row at its limit is tested; the others get the exact
-        # fsum test, which does not care about the order of a row's panels
-        doomed = unconverged & limit
-        stop = int(np.argmax(doomed)) if doomed.any() else ids.size
-        for r in np.flatnonzero(~unconverged[:stop]).tolist():
+        # in row order, the exact fsum test for each row that the numpy sums
+        # leave open or that is at its limit; the first unconverged one there raises
+        for r in np.flatnonzero(~unconverged | limit).tolist():
             total = math.fsum(val[r, :cnt[r]].tolist())
             tol = max(spec.abs_tol, spec.rel_tol * abs(total))
             if math.fsum(err[r, :cnt[r]].tolist()) <= tol:
                 results[ids[r]] = total
+            elif limit[r]:
+                pa, pb, _, perr, depth = w[r].tolist()
+                raise _exhausted(pa, pb, int(depth), int(cnt[r]), perr, tol)
             else:
                 unconverged[r] = True
-                if limit[r]:
-                    stop = r
-                    break
-        if stop < ids.size:
-            tol = max(spec.abs_tol, spec.rel_tol * abs(math.fsum(val[stop, :cnt[stop]].tolist())))
-            pa, pb, _, perr, depth = w[stop].tolist()
-            raise _exhausted(pa, pb, int(depth), int(cnt[stop]), perr, tol)
         if not unconverged.all():
             keep = np.flatnonzero(unconverged)
             if not keep.size:
-                break
+                return results
             ids, p, cnt, worst, w = ids[keep], p[keep], cnt[keep], worst[keep], w[keep]
         # the halves of each worst panel: the left one replaces it, the
         # right one is appended

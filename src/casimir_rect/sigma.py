@@ -17,8 +17,10 @@ taken analytically on the series; psi_strip_batch gives the unit-aspect
 psi(x, 1) at many x that are used once, past the caches; and
 psi_with_x_dPsi_dx gives psi with x dPsi/dx, a Richardson-refined central
 difference, from the terms at its five nodes, built as one batch and cached
-per (x, N) so that every rho reads them.  The package sums the series to
-DEFAULT_ORDER, and it holds for rho >= MIN_RHO.
+per (x, N) so that every rho reads them.  Both build their terms in
+_terms_batch, which holds the one first-failure rule: where a batch's
+terms fail, it raises what its first failing x raises alone.  The package
+sums the series to DEFAULT_ORDER, and it holds for rho >= MIN_RHO.
 """
 
 from __future__ import annotations
@@ -246,32 +248,28 @@ def psi_strip(x: float, rho: float, N: int) -> float:
 def _terms_batch(xs, N: int) -> list[list[tuple[float, float]]]:
     """_terms_up_to(x, N) for each x of xs, bit for bit, uncached: each x's
     zeros serve both its weights and its terms, and the weights of all x
-    run as one batch."""
+    run as one batch.  The batch may meet a later x's failure first, so
+    where it fails each x is rebuilt alone, in order, and the first x that
+    fails alone raises; if none does, the batch's error is raised."""
     modes = range(1, batch_size(2 * N) + 1)
-    zeros = [[roots.find_zero(m, x) for m in modes] for x in xs]
-    return [_build_terms(zs, vs, N) for zs, vs in zip(zeros, weight_batch(xs, zeros))]
+    try:
+        zeros = [[roots.find_zero(m, x) for m in modes] for x in xs]
+        return [_build_terms(zs, vs, N) for zs, vs in zip(zeros, weight_batch(xs, zeros))]
+    except (ArithmeticError, RuntimeError, ValueError):
+        if len(xs) > 1:
+            for x in xs:
+                _terms_batch([x], N)
+        raise
 
 
 def psi_strip_batch(xs) -> list[float]:
     """psi_strip(x, 1.0, DEFAULT_ORDER) for each x of xs, bit for bit, uncached.
 
     For x used once, such as I2's quadrature nodes: the terms of all x come
-    from one _terms_batch.  Raises what psi_strip raises at the first x of
-    xs where it fails.
+    from one _terms_batch, which raises as the first failing x alone.
     """
-
-    def psi(xs):
-        sums = [_sums(terms, 1.0) for terms in _terms_batch(xs, DEFAULT_ORDER)]
-        return [num / den for num, den in sums]
-
-    try:
-        return psi(xs)
-    except (ArithmeticError, RuntimeError, ValueError):
-        # the batch may meet a later x's failure first; x by x, the first
-        # failing x raises what it raises alone
-        for x in xs:
-            psi([x])
-        raise
+    sums = [_sums(terms, 1.0) for terms in _terms_batch(xs, DEFAULT_ORDER)]
+    return [num / den for num, den in sums]
 
 
 def _step(x: float) -> float:
@@ -300,28 +298,18 @@ def psi_with_x_dPsi_dx(x: float, rho: float, N: int) -> tuple[float, float]:
     (4 d(h/2) - d(h))/3 with d(s) = (Psi(x + s) - Psi(x - s))/(2s) and
     h = _step(x), and 0 at x = 0.  The series terms at all nodes of
     _stencil(x) come from _stencil_terms, so every rho reads them without
-    new zeros or weights.  Where that batch fails, the nodes are evaluated
-    one by one in _stencil's order, psi at x and then Psi at the others,
-    so the first failing step raises what it raises alone.
+    new zeros or weights; where they fail, the first failing node of
+    _stencil's order raises (see _terms_batch).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     _require_rho(rho)
-
-    def read(steps):
-        # psi at x, then Psi at the other nodes in order, each from its terms
-        num, den = _sums(next(steps), rho)
-        psi = num / den
-        return psi, [-math.log(_sums(terms, rho)[1]) / rho for terms in steps]
-
-    try:
-        terms = _stencil_terms(x, N)
-    except (ArithmeticError, RuntimeError, ValueError):
-        read(_terms_batch([node], N)[0] for node in _stencil(x))
-        raise
-    psi, Psi = read(iter(terms))
-    if not Psi:  # x = 0
+    at_x, *others = _stencil_terms(x, N)
+    num, den = _sums(at_x, rho)
+    psi = num / den
+    if not others:  # x = 0
         return psi, 0.0
+    Psi = [-math.log(_sums(terms, rho)[1]) / rho for terms in others]
     h = _step(x)
     d_half = (Psi[0] - Psi[1]) / (2.0 * (h / 2.0))
     d_full = (Psi[2] - Psi[3]) / (2.0 * h)

@@ -254,6 +254,11 @@ class TestThetaTotal:
         with pytest.raises(OverflowError, match=f"at rho = {rho} overflows"):
             total(x, rho)
 
+    def test_floor_applies_to_x_rho_below_rho_1(self):
+        # x * rho = 7.5e-301 is below I1's floor; the error names x and rho
+        with pytest.raises(ValueError, match=r"got x = 1\.5e-300, rho = 0\.5$"):
+            theta_total(1.5e-300, 0.5)
+
     def test_finite_just_above_the_tiny_rho_limit(self):
         # just above the limit value / rho^2 is still a double, to the last bit
         pinned = -1.6362461737446892e+308

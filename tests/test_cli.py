@@ -376,6 +376,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert "rho^-2 times the exchanged value at rho = 1e-200 overflows" in captured.err
 
+    @pytest.mark.parametrize("x, rho", [("1.5e-300", "0.5"), ("1e-290", "1e-11"),
+                                        ("1e-150", "1e-155")])
+    def test_potential_floor_names_the_given_arguments(self, capsys, x, rho):
+        # below rho = 1 the potential is evaluated at x * rho, under I1's
+        # 1e-300 floor here; the error names the x and rho that were given
+        argv = ["theta-table", "--x-min", x, "--x-max", x, "--steps", "1", "--rho", rho]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: |x rho| < 1e-300 is beyond double precision here, "
+                                f"got x = {x}, rho = {rho}\n")
+
     @pytest.mark.parametrize("argv", [
         ["weights", "--x=-380", "--count", "16"],
         ["vartheta-table", "--x-min=-400", "--x-max=-400", "--steps", "1", "--rho", "1"],

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from casimir_rect import roots, specialfn, thermo_constants, weights
+from casimir_rect import casimir, effspin, roots, specialfn, thermo_constants, weights
 
 NAN, INF = math.nan, math.inf
 
@@ -29,10 +29,20 @@ NAN, INF = math.nan, math.inf
     (lambda: thermo_constants.corner_free_energy(INF), ValueError),
     (lambda: thermo_constants.surface_free_energy(NAN), ValueError),
     (lambda: thermo_constants.surface_free_energy(INF), ValueError),
+    (lambda: effspin.enumerate_partition(effspin.build_model(1.0, 4), NAN), ValueError),
+    (lambda: effspin.enumerate_partition(effspin.build_model(1.0, 4), 0.0), ValueError),
+    (lambda: effspin.matched_series(1.0, NAN, 4), ValueError),
+    (lambda: effspin.matched_series(1.0, INF, 4), ValueError),
+    (lambda: effspin.magnetization(effspin.build_model(1.0, 4), -1.0), ValueError),
+    (lambda: effspin.magnetization(effspin.build_model(1.0, 4), NAN), ValueError),
+    (lambda: casimir.ScalingPoint(NAN, 1.0), ValueError),
+    (lambda: casimir.ScalingPoint(-INF, 1.0), ValueError),
 ], ids=["eval_char_poly-nan", "eval_char_poly-x-inf", "zero_series-nan", "zero_series-inf",
         "E2-nan", "E2-inf", "pochhammer-nan", "eta-nan", "eta-inf", "beta-nan", "beta-inf",
         "dilog-nan", "divisor_sigma-2.5", "counting_integrand-nan", "corner-nan",
-        "corner-inf", "surface-nan", "surface-inf"])
+        "corner-inf", "surface-nan", "surface-inf", "enumerate_partition-nan",
+        "enumerate_partition-0", "matched_series-nan", "matched_series-inf",
+        "magnetization-negative", "magnetization-nan", "ScalingPoint-nan", "ScalingPoint-inf"])
 def test_rejected(call, error):
     with pytest.raises(error):
         call()

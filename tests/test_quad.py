@@ -154,6 +154,21 @@ def test_lockstep_depth_exhaustion_reports_panel(monkeypatch):
         quad.integrate_lockstep(_stacked(cases), [0.0, 0.0], [1.0, 1.0], spec)
 
 
+@pytest.mark.parametrize("reverse, panel", [(False, "[0.0, 0.125]"), (True, "[0.875, 1.0]")])
+def test_lockstep_raises_the_first_row_at_its_limit(monkeypatch, reverse, panel):
+    # both rows reach the depth limit unconverged in the same round; the
+    # first in row order raises the error it raises alone
+    monkeypatch.setattr(quad, "_MAX_DEPTH", 3)
+    spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
+    gs = [lambda t: np.sqrt(np.abs(t)), lambda t: np.sqrt(np.abs(1.0 - t))]
+    if reverse:
+        gs.reverse()
+    got = _outcome(lambda: quad.integrate_lockstep(_stacked([(g, 0.0, 1.0) for g in gs]),
+                                                   [0.0, 0.0], [1.0, 1.0], spec))
+    assert got == _outcome(lambda: [integrate_finite(gs[0], 0.0, 1.0, spec)])
+    assert f"depth exhausted on panel {panel}" in got
+
+
 def test_lockstep_non_finite_row_reports_panel():
     cases = [(np.sin, 0.0, 1.0), (lambda t: np.where(t > 3.0, np.inf, t), 0.0, 4.0)]
     with pytest.raises(QuadratureError, match=r"non-finite integrand value in panel \[0.0, 4.0\]"):
