@@ -1,11 +1,13 @@
 """Adaptive one-dimensional quadrature on a 15-point Gauss-Kronrod rule.
 
-Four entry points cover the integrals needed elsewhere in the package:
-finite intervals with globally adaptive bisection, semi-infinite integrals
-of exponentially decaying integrands via an explicit truncation point,
-semi-infinite integrals whose inverse-square-root endpoint singularity has
-already been removed by a substitution in the caller, and finite intervals
-mapped through w = c sinh(u) to resolve a feature of width c at w = 0.
+integrate_finite integrates over a finite interval with globally adaptive
+bisection, and integrate_lockstep runs many such integrals side by side.
+integrate_semi_infinite and integrate_sqrt_singularity hand
+integrate_finite the range [a, T] up to a truncation point T beyond which
+an exponentially decaying integrand is negligible; truncation_points
+finds these points for lockstep integrands too.  Any substitution that
+resolves a boundary layer, such as w = c sinh(u) or t = sqrt(x^2 + s^2),
+is applied by the caller, which knows its scale.
 
 Every integrand takes a 1-D ndarray of nodes and returns an ndarray of
 the same shape; a callable that only accepts scalars raises on its first
@@ -22,9 +24,8 @@ halves of all of them go to the integrand in one call, with an array saying
 which integral each node belongs to.  Its panels sit in (k x capacity)
 arrays, so a round's bookkeeping is a few numpy calls instead of a Python
 loop over the integrals; a batch of one integral runs integrate_finite's
-loop.  The sqrt-singularity and sinh-map routes have lockstep forms, each
-integral with its own end point or scale, for integrands that share one
-kernel, such as the mode weights.
+loop.  Integrands that share one kernel, such as the mode weights, run
+this way, each integral with its own end points.
 
 Each lockstep row equals integrate_finite on its integral alone, bit for
 bit, errors included.  np.vecdot takes each panel row's sums with the same
@@ -53,10 +54,8 @@ __all__ = [
     "integrate_finite",
     "integrate_lockstep",
     "integrate_semi_infinite",
-    "integrate_sinh_map",
-    "integrate_sinh_map_lockstep",
     "integrate_sqrt_singularity",
-    "integrate_sqrt_singularity_lockstep",
+    "truncation_points",
 ]
 
 # Kronrod-15 abscissae on [-1, 1]; odd entries are the embedded Gauss-7 nodes.
@@ -309,9 +308,9 @@ def _proven_unconverged(val, err, spec: QuadratureSpec):
     return (error * (1.0 - 2.0 * r) > bound) & (size < 1e300) & (error < 1e300)
 
 
-def _truncation_points(f, starts, spec: QuadratureSpec) -> list[float]:
-    """Per integral i, a point T beyond starts[i] so that an e^{-t} tail beyond
-    it is below abs_tol/10."""
+def truncation_points(f, starts, spec: QuadratureSpec = DEFAULT_SPEC) -> list[float]:
+    """Per integral i of a lockstep integrand f(nodes, owners), a point T beyond
+    starts[i] so that an e^{-t} tail beyond it is below abs_tol/10."""
     starts = np.asarray(starts, dtype=float)
     probes = starts[:, None] + np.array([0.25, 1.0, 2.0])
     owners = np.arange(starts.size).repeat(3)
@@ -327,60 +326,18 @@ def integrate_semi_infinite(f, a: float, spec: QuadratureSpec = DEFAULT_SPEC) ->
     the range magnitude estimated from f at three probe points, then handed
     to integrate_finite.
     """
-    T = _truncation_points(_one(f), [a], spec)[0]
+    T = truncation_points(_one(f), [a], spec)[0]
     return integrate_finite(f, a, T, spec)
-
-
-def integrate_sqrt_singularity_lockstep(g, x_abs,
-                                        spec: QuadratureSpec = DEFAULT_SPEC) -> list[float]:
-    """Integrate len(x_abs) integrands g(s, owners) over (0, infinity) in lockstep.
-
-    The caller has already substituted t = sqrt(x^2 + s^2), so g(s) is
-    regular at s = 0.  x_abs[i] shifts integral i's truncation point
-    outward: in the substituted variable the exponential decay only sets in
-    for s beyond roughly x_abs[i].
-    """
-    if any(v < 0.0 for v in x_abs):
-        raise ValueError("x_abs must be >= 0")
-    upper = _truncation_points(g, x_abs, spec)
-    return integrate_lockstep(g, [0.0] * len(upper), upper, spec)
 
 
 def integrate_sqrt_singularity(g, x_abs: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """Integrate g over (0, infinity) after a square-root substitution.
 
-    The one-integral case of integrate_sqrt_singularity_lockstep.
+    The caller has already substituted t = sqrt(x^2 + s^2), so g(s) is
+    regular at s = 0.  x_abs shifts the truncation point outward: in the
+    substituted variable the exponential decay only sets in for s beyond
+    roughly x_abs.
     """
-    return integrate_sqrt_singularity_lockstep(_one(g), [x_abs], spec)[0]
-
-
-def integrate_sinh_map(f, scale: float, upper: float,
-                       spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Integrate f over [0, upper] through the substitution w = scale*sinh(u).
-
-    Nodes crowd into the layer w < scale, so an endpoint feature of that
-    width (a log singularity, a narrow spike) becomes O(1) in u.
-    """
-
-    def transformed(u: np.ndarray) -> np.ndarray:
-        return f(scale * np.sinh(u)) * scale * np.cosh(u)
-
-    # through integrate_finite, so the benchmark's traced run, which wraps
-    # that entry point, still counts the strip integrals under quad.*
-    return integrate_finite(transformed, 0.0, math.asinh(upper / scale), spec)
-
-
-def integrate_sinh_map_lockstep(f, scale, upper,
-                                spec: QuadratureSpec = DEFAULT_SPEC) -> list[float]:
-    """integrate_sinh_map for len(scale) integrands f(w, owners) in lockstep,
-    integral i with its own scale[i] and upper[i]."""
-    if len(scale) != len(upper):
-        raise ValueError(f"{len(scale)} scales and {len(upper)} upper bounds")
-    scale = np.asarray(scale, dtype=float)
-
-    def transformed(u: np.ndarray, owners: np.ndarray) -> np.ndarray:
-        c = scale[owners]
-        return f(c * np.sinh(u), owners) * c * np.cosh(u)
-
-    tops = [math.asinh(float(hi) / c) for c, hi in zip(scale.tolist(), upper)]
-    return integrate_lockstep(transformed, [0.0] * len(tops), tops, spec)
+    if x_abs < 0.0:
+        raise ValueError("x_abs must be >= 0")
+    return integrate_finite(g, 0.0, truncation_points(_one(g), [x_abs], spec)[0], spec)

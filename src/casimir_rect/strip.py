@@ -41,9 +41,15 @@ def decay_factor(w: np.ndarray, x: float) -> np.ndarray:
 
 
 def _strip_integral(x: float, integrand) -> float:
+    """Int_0^{|x|+27} integrand(w) dw through w = c sinh(u), c = max(1, |x|)."""
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
-    return quad.integrate_sinh_map(integrand, max(1.0, abs(x)), abs(x) + 27.0, STRIP_SPEC)
+    c = max(1.0, abs(x))
+
+    def mapped(u: np.ndarray) -> np.ndarray:
+        return integrand(c * np.sinh(u)) * c * np.cosh(u)
+
+    return quad.integrate_finite(mapped, 0.0, math.asinh((abs(x) + 27.0) / c), STRIP_SPEC)
 
 
 def theta_oo(x: float) -> float:

@@ -105,30 +105,6 @@ def _kernel_sub(s: np.ndarray, x) -> np.ndarray:
     return (x - s * s) * sech / (t * d)
 
 
-def _exponent_integrals(x: np.ndarray, scale: list[float], log_factor) -> list[float]:
-    """Int_0^inf log_factor(s, owners) * kernel(s; x[i]) ds for every owner i at once.
-
-    The x[i] share one route and one sign.  The kernel does not depend on
-    the mode, so integrals of many modes and many x advance in lockstep
-    through one integrand call per round; node placement depends on x[i]
-    only.  For x < -1 the kernel develops a spike of width ~ 2|x| e^{-|x|}
-    at the origin (scale[i], the first zero's decay rate); the substitution
-    s = c sinh(v) with c set to that scale makes it an O(1) feature that the
-    adaptive panels resolve at any x.
-    """
-
-    def integrand(s: np.ndarray, owners: np.ndarray) -> np.ndarray:
-        return log_factor(s, owners) * _kernel_sub(s, x[owners])
-
-    # where gamma_1^2 underflows (x <~ -380) or x^2 overflows (x >~ 1e154)
-    # the quadrature raises naming the non-finite panel; numpy's warnings
-    # would only repeat that on stderr
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if x[0] >= -1.0:
-            return quad.integrate_sqrt_singularity_lockstep(integrand, np.abs(x), WEIGHT_SPEC)
-        return quad.integrate_sinh_map_lockstep(integrand, scale, -x + 45.0, WEIGHT_SPEC)
-
-
 def _prefactor(zero: roots.ZeroRecord, x: float) -> float:
     g2 = zero.gamma * zero.gamma
     return 4.0 * (zero.gamma - x) * g2 / (g2 + x)
@@ -176,8 +152,30 @@ def _contour_weights(xs, zeros) -> list[list[float]]:
             values[pl] = np.log(ratio[pl])
             return values
 
-        spike = [] if x[0] >= -1.0 else [_first_gamma(xs[i], zeros[i]) for i, _ in owners]
-        integrals = _exponent_integrals(np.array(x), spike, log_factor)
+        xa = np.array(x)
+
+        def integrand(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            return log_factor(s, rows) * _kernel_sub(s, xa[rows])
+
+        # where gamma_1^2 underflows (x <~ -380) or x^2 overflows (x >~ 1e154)
+        # the quadrature raises naming the non-finite panel; numpy's warnings
+        # would only repeat that on stderr
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if x[0] >= -1.0:
+                ends = quad.truncation_points(integrand, np.abs(xa), WEIGHT_SPEC)
+                integrals = quad.integrate_lockstep(integrand, [0.0] * len(ends), ends, WEIGHT_SPEC)
+            else:
+                # the spike of width ~ gamma_1 at s = 0 becomes O(1) in v
+                # under s = gamma_1 sinh(v)
+                c = [_first_gamma(xs[i], zeros[i]) for i, _ in owners]
+                ends = [math.asinh((45.0 - xi) / ci) for xi, ci in zip(x, c)]
+                ca = np.array(c)
+
+                def mapped(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+                    cr = ca[rows]
+                    return integrand(cr * np.sinh(v), rows) * cr * np.cosh(v)
+
+                integrals = quad.integrate_lockstep(mapped, [0.0] * len(ends), ends, WEIGHT_SPEC)
         for (i, k), xi, zero, integral in zip(owners, x, zs, integrals):
             if zero.phi_sq == 0.0:
                 out[i][k] = 12.0 * math.exp(integral / math.pi)

@@ -14,7 +14,6 @@ from casimir_rect.quad import (
     QuadratureSpec,
     integrate_finite,
     integrate_semi_infinite,
-    integrate_sinh_map,
     integrate_sqrt_singularity,
 )
 
@@ -61,13 +60,6 @@ def test_scalar_only_integrand_rejected():
         integrate_finite(lambda t: math.exp(-t), 0.0, 5.0)
     with pytest.raises(ValueError):
         integrate_finite(lambda t: 1.0, 0.0, 5.0)
-
-
-@pytest.mark.parametrize("scale", [0.01, 1.0, 10.0])
-def test_sinh_map_exp(scale):
-    upper = 30.0
-    got = integrate_sinh_map(lambda w: np.exp(-w), scale, upper)
-    assert got == pytest.approx(-math.expm1(-upper), abs=1e-14)
 
 
 @pytest.mark.parametrize("rel", [1e-6, 1e-9, 1e-12])
@@ -137,15 +129,6 @@ def test_lockstep_equals_separate_integrals_bit_for_bit():
     assert got == [integrate_finite(g, a, b) for g, a, b in LOCKSTEP_CASES]
 
 
-def test_lockstep_forms_equal_single_entry_points_bit_for_bit():
-    gs = [lambda s: np.exp(-s) / (1.0 + s), lambda s: s * np.exp(-2.0 * s)]
-    f = _stacked([(g, None, None) for g in gs])
-    assert (quad.integrate_sqrt_singularity_lockstep(f, [0.5, 2.0])
-            == [integrate_sqrt_singularity(g, x_abs) for g, x_abs in zip(gs, [0.5, 2.0])])
-    assert (quad.integrate_sinh_map_lockstep(f, [0.01, 0.3], [30.0, 12.0])
-            == [integrate_sinh_map(g, c, top) for g, c, top in zip(gs, [0.01, 0.3], [30.0, 12.0])])
-
-
 def test_lockstep_depth_exhaustion_reports_panel(monkeypatch):
     monkeypatch.setattr(quad, "_MAX_DEPTH", 3)
     spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
@@ -189,8 +172,6 @@ def test_lockstep_rejects_bounds_of_unequal_length():
     for a, b in (([0.0], [1.0, 2.0]), ([0.0, 0.0], [1.0])):
         with pytest.raises(ValueError, match="lower and .* upper integration bounds"):
             quad.integrate_lockstep(f, a, b)
-    with pytest.raises(ValueError, match="1 scales and 2 upper bounds"):
-        quad.integrate_sinh_map_lockstep(f, [0.1], [1.0, 2.0])
 
 
 def test_lockstep_rejects_reversed_bounds():
