@@ -27,6 +27,7 @@ __all__ = [
     "eval_char_poly",
     "find_zero",
     "find_zeros",
+    "near_degenerate",
     "solve_bracket",
     "zero_series_approx",
 ]
@@ -37,6 +38,13 @@ class RootFindError(RuntimeError):
 
 
 _TOL = 1e-14  # residual tolerance on the dispersion function
+# Within this distance of x = -1 (not at it), the first zero is solved in the
+# form of the dispersion function that does not cancel as the zero nears 0.
+DEGENERATE_WINDOW = 2e-2
+# Taylor coefficients in p = F^2 of S = sin(F)/F and K = (sin F - F cos F)/F^3,
+# highest first; eight terms reach 1e-17 for |p| < 0.07
+_S_COEFFS = [(-1) ** k / math.factorial(2 * k + 1) for k in range(7, -1, -1)]
+_K_COEFFS = [(-1) ** k * 2 * (k + 1) / math.factorial(2 * k + 3) for k in range(7, -1, -1)]
 
 
 def _check_mode(mu) -> None:
@@ -136,6 +144,26 @@ def solve_bracket(func, lo: float, hi: float, tol: float, what: str) -> float:
     raise RootFindError(f"iteration cap reached on bracket [{lo}, {hi}] for {what}")
 
 
+def near_degenerate(mu: int, x: float) -> bool:
+    """Whether (mu, x) is the first zero within DEGENERATE_WINDOW of x = -1, but not at it."""
+    return mu == 1 and 0.0 < abs(1.0 + x) < DEGENERATE_WINDOW
+
+
+def _find_zero_near_degenerate(x: float) -> ZeroRecord:
+    """First zero for near_degenerate(1, x), on either side of x = -1.
+
+    cos F + (x/F) sin F = (1 + x) S(p) - p K(p) with p = F^2, S and K entire
+    in p and near 1 and 1/3 at p = 0, so p = phi_sq solves p = (1 + x) S(p)/K(p)
+    without the cancellation of the direct form; p < 0 is the imaginary zero.
+    1 + x is exact here, and each fixed-point step gains a factor |1 + x|/5.
+    """
+    eps = 1.0 + x
+    p = 3.0 * eps
+    for _ in range(8):
+        p = eps * float(np.polyval(_S_COEFFS, p)) / float(np.polyval(_K_COEFFS, p))
+    return ZeroRecord(mu=1, sigma=1, phi_sq=p, gamma=math.sqrt(x * x + p))
+
+
 def _find_zero_imag(x: float) -> ZeroRecord:
     """First zero for x < -1: solve y*coth(y) = -x on (0, -x), phi_sq = -y^2."""
 
@@ -160,8 +188,10 @@ def find_zero(mu: int, x: float) -> ZeroRecord:
     -1 <= x <= 0 in [(mu-1)pi, (mu-1/2)pi]; for x < -1 the same holds for
     mu >= 2 while the first zero is imaginary and solved through
     y*coth(y) = -x.  Bisection refined by safeguarded Newton, residual
-    tolerance _TOL on the dispersion function.  OverflowError beyond
-    |x| = 1.34e154, where x^2 overflows.
+    tolerance _TOL on the dispersion function.  The first zero within
+    DEGENERATE_WINDOW of x = -1 comes instead from a form that does not
+    cancel as it nears the origin.  OverflowError beyond |x| = 1.34e154,
+    where x^2 overflows.
     """
     _check_mode(mu)
     if not math.isfinite(x):
@@ -175,6 +205,8 @@ def find_zero(mu: int, x: float) -> ZeroRecord:
     if mu == 1 and x == -1.0:
         # doubly degenerate zero at the origin
         return ZeroRecord(mu=1, sigma=1, phi_sq=0.0, gamma=1.0)
+    if near_degenerate(mu, x):
+        return _find_zero_near_degenerate(x)
     if mu == 1 and x < -1.0:
         return _find_zero_imag(x)
 

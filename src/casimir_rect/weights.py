@@ -107,7 +107,9 @@ def _kernel_sub(s: np.ndarray, x) -> np.ndarray:
 
 def _prefactor(zero: roots.ZeroRecord, x: float) -> float:
     g2 = zero.gamma * zero.gamma
-    return 4.0 * (zero.gamma - x) * g2 / (g2 + x)
+    # next to x = -1, gamma^2 + x = phi_sq + x (1 + x) without the cancellation
+    denom = zero.phi_sq + x * (1.0 + x) if roots.near_degenerate(zero.mu, x) else g2 + x
+    return 4.0 * (zero.gamma - x) * g2 / denom
 
 
 def _contour_weights(xs, zeros) -> list[list[float]]:

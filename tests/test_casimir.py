@@ -322,6 +322,25 @@ class TestVarthetaTotal:
     def test_tiny_x_is_critical(self, x):
         assert vartheta_total(x, 1.0) == pytest.approx(1.0 / 16.0, abs=1e-12)
 
+    @pytest.mark.parametrize("rho", [1.0, 2.0])
+    def test_continuous_across_the_degenerate_zero(self, rho):
+        # the first zero degenerates at x = -1; its direct dispersion function
+        # cancels next to it, which moved the force at rho = 1 by 2.8e-3 one
+        # ulp above -1 and at rho = 2 by 8.3e-10 at 1e-12 above it
+        at = vartheta_total(-1.0, rho)
+        for x in (math.nextafter(-1.0, 0.0), math.nextafter(-1.0, -2.0), -1.0 + 1e-14,
+                  -1.0 - 1e-14, -1.0 + 1e-12, -1.0 - 1e-12):
+            assert abs(vartheta_total(x, rho) - at) <= 1e-13, x
+
+    @pytest.mark.parametrize("x, rho", [(-2.0, 0.5), (-1.6, 0.625)])
+    def test_smooth_where_the_stencil_straddles_the_degenerate_zero(self, x, rho):
+        # u = x rho = -1: the x-derivative stencil's nodes u +- h/2, u +- h sit
+        # next to the degenerate first zero; the cubic through the force at
+        # x +- 1e-3 and x +- 2e-3 predicts it to about 1e-12, and the
+        # stencil's differences add a few 1e-11 (the cancelling zero left 6e-10)
+        f = {k: vartheta_total(x + k * 1e-3, rho) for k in (-2, -1, 0, 1, 2)}
+        assert abs(f[0] - (4.0 * (f[-1] + f[1]) - f[-2] - f[2]) / 6.0) <= 1e-10
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(x=st.floats(-350.0, 1000.0), rho=st.floats(0.05, 50.0))
     def test_finite_on_whole_plane(self, x, rho):

@@ -5,9 +5,12 @@ import math
 import pytest
 
 from casimir_rect.roots import (
+    DEGENERATE_WINDOW,
+    ZeroRecord,
     eval_char_poly,
     find_zero,
     find_zeros,
+    near_degenerate,
     zero_series_approx,
 )
 
@@ -103,6 +106,53 @@ def test_continuity_slope_at_degeneracy():
     for eps in (1e-5, 1e-7):
         assert find_zero(1, -1.0 + eps).phi_sq == pytest.approx(3.0 * eps, rel=1e-3)
         assert find_zero(1, -1.0 - eps).phi_sq == pytest.approx(-3.0 * eps, rel=1e-3)
+
+
+# x: (phi_sq, gamma) of the first zero next to x = -1, from tests/mp_zeros.py
+# (60 digits, printed to 20); |1 + x| runs from 1e-2 down to 2^-52
+MP_ZEROS = {
+    -1.01: (-0.030060068571300282195, 0.99500750320221190569),
+    -1.001: (-0.0030006000685710967544, 0.99950007500321313521),
+    -1.0001: (-0.000300006000068538387, 0.99995000075000321967),
+    -1.000001: (-3.0000005997532685589e-6, 0.99999950000007504114),
+    -1.00000001: (-2.9999999877675870212e-8, 0.99999999500000003789),
+    -1.0000000001: (-3.0000002482811130072e-10, 0.99999999994999999586),
+    -1.000000000001: (-3.0002667017476231415e-12, 0.99999999999949995555),
+    -1.00000000000001: (-2.9976021664879286496e-14, 0.999999999999995004),
+    -1.0000000000000002: (-6.6613381477509395384e-16, 0.99999999999999988898),
+    -0.9999999999999998: (6.6613381477509389467e-16, 1.000000000000000111),
+    -0.99999999999999: (2.9976021664879166687e-14, 1.000000000000004996),
+    -0.999999999999: (2.9999336348390355144e-12, 1.0000000000004999889),
+    -0.9999999999: (3.0000002481611129873e-10, 1.0000000000500000041),
+    -0.99999999: (3.0000000090742777725e-8, 1.0000000050000000326),
+    -0.999999: (2.9999994000863355305e-6, 1.0000005000000750144),
+    -0.9999: (0.00029999400006853838964, 1.0000500007499967801),
+    -0.999: (0.0029994000685714299526, 1.0005000749967845096),
+    -0.99: (0.029940068571300439811, 1.0050074967736809983),
+}
+
+
+@pytest.mark.parametrize("x", sorted(MP_ZEROS))
+def test_first_zero_next_to_degeneracy_matches_mpmath(x):
+    # the direct dispersion function cancels there: its phi_sq was off by
+    # 8e-11 relative at |1 + x| = 1e-4 and by 0.7 at 1e-14
+    phi_sq, gamma = MP_ZEROS[x]
+    z = find_zero(1, x)
+    assert abs(z.phi_sq - phi_sq) <= 1e-14 * abs(phi_sq)
+    assert abs(z.gamma - gamma) <= 1e-14 * gamma
+
+
+def test_degenerate_point_keeps_its_branch():
+    assert find_zero(1, -1.0) == ZeroRecord(mu=1, sigma=1, phi_sq=0.0, gamma=1.0)
+
+
+@pytest.mark.parametrize("edge", [-1.0 - DEGENERATE_WINDOW, -1.0 + DEGENERATE_WINDOW])
+def test_first_zero_continuous_across_window_edge(edge):
+    # edge rounds to just outside the window and its neighbour toward -1 is inside
+    inside = math.nextafter(edge, -1.0)
+    assert near_degenerate(1, inside) and not near_degenerate(1, edge)
+    a, b = find_zero(1, inside).phi_sq, find_zero(1, edge).phi_sq
+    assert abs(a - b) <= 1e-14 * abs(a)
 
 
 def test_gamma_of_values():

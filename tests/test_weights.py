@@ -1,11 +1,12 @@
 """Weight tests: counting-kernel identity, closed forms, batches, product oracle."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from casimir_rect import roots, sigma, weights
+from casimir_rect import quad, roots, sigma, weights
 from casimir_rect.quad import QuadratureError, QuadratureSpec, integrate_sqrt_singularity
 from casimir_rect.weights import (
     counting_integrand,
@@ -109,6 +110,12 @@ class TestPositivityAndSmoothness:
             v = weight_v(mu, x).v if x != 0.0 else weight_v_closed_x0(mu).v
             assert v > 0.0, (mu, x)
 
+    @pytest.mark.parametrize("x", [-1.0 - 2.0 ** -52, -1.0 + 2.0 ** -53, -1.0 - 1e-14,
+                                   -1.0 + 1e-14])
+    def test_first_weight_continuous_at_degeneracy(self, x):
+        # the zero and the prefactor's gamma^2 + x both cancel next to x = -1
+        assert weight_v(1, x).v == pytest.approx(weight_v(1, -1.0).v, rel=1e-13)
+
     def test_smooth_in_x_near_degeneracy(self):
         # epsilon-sequence around x = -1 brackets the special value
         seq = [weight_v(1, -1.0 + e).v for e in (1e-2, 1e-3, 1e-4)]
@@ -159,6 +166,21 @@ class TestBatch:
         # gamma_1^2 underflows at x = -400; the failure names the panel
         with pytest.raises(QuadratureError, match="non-finite integrand value in panel"):
             weight_v(range(1, 17), -400.0)
+
+    def test_subnormal_gamma_guard_needs_mode_1(self, monkeypatch):
+        # gamma_1^2 = 1.4e-308 is subnormal at x = -361, but the sinh route's
+        # scale gamma_1 is a normal double, so a batch without mode 1
+        # converges; rejecting every batch at such an x would break this
+        assert 0.0 < roots.find_zero(1, -361.0).gamma ** 2 < sys.float_info.min
+        assert all(math.isfinite(r.v) for r in weight_v([2, 16], -361.0))
+
+        def unreachable(*args):
+            raise AssertionError("quadrature started")
+
+        # with mode 1 the batch raises before any quadrature
+        monkeypatch.setattr(quad, "integrate_lockstep", unreachable)
+        with pytest.raises(QuadratureError, match=r"gamma_1\^2 = 1.434e-308 is subnormal"):
+            weight_v([1, 2], -361.0)
 
     @pytest.mark.parametrize("m,size", [(1, 16), (16, 16), (17, 32), (32, 32)])
     def test_batch_size_rounds_up_to_whole_blocks(self, m, size):
@@ -261,7 +283,7 @@ class TestMpOracle:
         assert max(errs.values()) < 2e-14, errs
 
     @pytest.mark.xfail(strict=True, reason=(
-        "quad._truncation_points sets the end point T assuming an e^{-t} tail, "
+        "quad.truncation_points sets the end point T assuming an e^{-t} tail, "
         "but the weight integrands decay more slowly (their log factor grows "
         "with s); the dropped tails put mu >= 2 off by up to 4e-13 relative"))
     def test_higher_modes_within_2e_14(self):
