@@ -308,7 +308,7 @@ def _proven_unconverged(val, err, spec: QuadratureSpec):
     return (error * (1.0 - 2.0 * r) > bound) & (size < 1e300) & (error < 1e300)
 
 
-def truncation_points(f, starts, spec: QuadratureSpec = DEFAULT_SPEC) -> list[float]:
+def truncation_points(f, starts, spec: QuadratureSpec) -> list[float]:
     """Per integral i of a lockstep integrand f(nodes, owners), a point T beyond
     starts[i] so that an e^{-t} tail beyond it is below abs_tol/10."""
     starts = np.asarray(starts, dtype=float)

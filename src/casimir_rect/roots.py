@@ -42,7 +42,7 @@ _TOL = 1e-14  # residual tolerance on the dispersion function
 # form of the dispersion function that does not cancel as the zero nears 0.
 DEGENERATE_WINDOW = 2e-2
 # Taylor coefficients in p = F^2 of S = sin(F)/F and K = (sin F - F cos F)/F^3,
-# highest first; eight terms reach 1e-17 for |p| < 0.07
+# highest first; the first term left out is below 1e-23 for |p| < 0.07
 _S_COEFFS = [(-1) ** k / math.factorial(2 * k + 1) for k in range(7, -1, -1)]
 _K_COEFFS = [(-1) ** k * 2 * (k + 1) / math.factorial(2 * k + 3) for k in range(7, -1, -1)]
 

@@ -164,20 +164,19 @@ def _contour_weights(xs, zeros) -> list[list[float]]:
         # would only repeat that on stderr
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if x[0] >= -1.0:
-                ends = quad.truncation_points(integrand, np.abs(xa), WEIGHT_SPEC)
-                integrals = quad.integrate_lockstep(integrand, [0.0] * len(ends), ends, WEIGHT_SPEC)
+                f, ends = integrand, quad.truncation_points(integrand, np.abs(xa), WEIGHT_SPEC)
             else:
                 # the spike of width ~ gamma_1 at s = 0 becomes O(1) in v
-                # under s = gamma_1 sinh(v)
+                # under s = gamma_1 sinh(v), on [0, asinh((|x| + 45)/gamma_1)]
                 c = [_first_gamma(xs[i], zeros[i]) for i, _ in owners]
                 ends = [math.asinh((45.0 - xi) / ci) for xi, ci in zip(x, c)]
                 ca = np.array(c)
 
-                def mapped(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+                def f(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
                     cr = ca[rows]
                     return integrand(cr * np.sinh(v), rows) * cr * np.cosh(v)
 
-                integrals = quad.integrate_lockstep(mapped, [0.0] * len(ends), ends, WEIGHT_SPEC)
+            integrals = quad.integrate_lockstep(f, [0.0] * len(ends), ends, WEIGHT_SPEC)
         for (i, k), xi, zero, integral in zip(owners, x, zs, integrals):
             if zero.phi_sq == 0.0:
                 out[i][k] = 12.0 * math.exp(integral / math.pi)

@@ -6,7 +6,6 @@ import pytest
 
 from casimir_rect.roots import (
     DEGENERATE_WINDOW,
-    ZeroRecord,
     eval_char_poly,
     find_zero,
     find_zeros,
@@ -140,10 +139,6 @@ def test_first_zero_next_to_degeneracy_matches_mpmath(x):
     z = find_zero(1, x)
     assert abs(z.phi_sq - phi_sq) <= 1e-14 * abs(phi_sq)
     assert abs(z.gamma - gamma) <= 1e-14 * gamma
-
-
-def test_degenerate_point_keeps_its_branch():
-    assert find_zero(1, -1.0) == ZeroRecord(mu=1, sigma=1, phi_sq=0.0, gamma=1.0)
 
 
 @pytest.mark.parametrize("edge", [-1.0 - DEGENERATE_WINDOW, -1.0 + DEGENERATE_WINDOW])
