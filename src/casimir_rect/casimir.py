@@ -152,6 +152,10 @@ def integral_I1(x_vol: float) -> float:
 
 
 _I2_SPLIT = 4.0
+# psi(xi, 1) decays like e^{0.96 xi} toward xi -> -inf (psi(-60, 1) = -2.4e-23), so
+# from here down I2's tail lies far below half an ulp of log 2 and I2 is the
+# ordered-phase constant alone; its integrand's weights overflow from about -346.3
+_I2_ORDERED_FROM = -64.0
 
 
 def integral_I2(x_vol: float) -> float:
@@ -172,6 +176,7 @@ def integral_I2(x_vol: float) -> float:
     x^-2 overflows near x = 0.  psi(xi, 1) is the series at DEFAULT_ORDER,
     as for theta_sc; its nodes are used once, so each integrand call takes
     psi at all of its nodes from one uncached sigma.psi_strip_batch.
+    From x_vol = -64 down I2 is -log 2 to the last bit, and no integral runs.
     """
     _require_finite(x_vol)
     if x_vol == 0.0:
@@ -179,6 +184,8 @@ def integral_I2(x_vol: float) -> float:
     sgn = 1.0 if x_vol > 0.0 else -1.0
     h = abs(x_vol)
     ordered = -math.log(2.0) if x_vol < 0.0 else 0.0
+    if x_vol <= _I2_ORDERED_FROM:
+        return ordered
 
     def psi1(eta: np.ndarray) -> np.ndarray:
         return np.array(sigma.psi_strip_batch((sgn * eta).tolist()))

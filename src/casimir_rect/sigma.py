@@ -251,9 +251,8 @@ def _terms_batch(xs, N: int) -> list[list[tuple[float, float]]]:
     run as one batch.  The batch may meet a later x's failure first, so
     where it fails each x is rebuilt alone, in order, and the first x that
     fails alone raises; if none does, the batch's error is raised."""
-    modes = range(1, batch_size(2 * N) + 1)
     try:
-        zeros = [[roots.find_zero(m, x) for m in modes] for x in xs]
+        zeros = [[roots.find_zero(m, x) for m in range(1, 2 * N + 1)] for x in xs]
         return [_build_terms(zs, vs, N) for zs, vs in zip(zeros, weight_batch(xs, zeros))]
     except (ArithmeticError, RuntimeError, ValueError):
         if len(xs) > 1:
@@ -276,19 +275,14 @@ def _step(x: float) -> float:
     return max(1e-4, 1e-4 * abs(x))
 
 
-def _stencil(x: float) -> list[float]:
-    """The nodes [x, x + h/2, x - h/2, x + h, x - h] of the x-derivative,
-    h = _step(x); at x = 0, where the derivative term vanishes, only [x]."""
-    if x == 0.0:
-        return [x]
-    h = _step(x)
-    return [x, x + h / 2.0, x - h / 2.0, x + h, x - h]
-
-
 @lru_cache(maxsize=256, typed=True)
 def _stencil_terms(x: float, N: int) -> tuple[tuple[tuple[float, float], ...], ...]:
-    """The series terms to order N at each node of _stencil(x), one batch."""
-    return tuple(map(tuple, _terms_batch(_stencil(x), N)))
+    """The series terms to order N at the nodes [x, x + h/2, x - h/2, x + h,
+    x - h] of the x-derivative, h = _step(x), one batch; at x = 0, where the
+    derivative term vanishes, at [x] alone."""
+    h = _step(x)
+    nodes = [x] if x == 0.0 else [x, x + h / 2.0, x - h / 2.0, x + h, x - h]
+    return tuple(map(tuple, _terms_batch(nodes, N)))
 
 
 def psi_with_x_dPsi_dx(x: float, rho: float, N: int) -> tuple[float, float]:
@@ -296,10 +290,10 @@ def psi_with_x_dPsi_dx(x: float, rho: float, N: int) -> tuple[float, float]:
 
     The derivative is the Richardson-refined central difference
     (4 d(h/2) - d(h))/3 with d(s) = (Psi(x + s) - Psi(x - s))/(2s) and
-    h = _step(x), and 0 at x = 0.  The series terms at all nodes of
-    _stencil(x) come from _stencil_terms, so every rho reads them without
-    new zeros or weights; where they fail, the first failing node of
-    _stencil's order raises (see _terms_batch).
+    h = _step(x), and 0 at x = 0.  The series terms at the stencil's nodes
+    come from _stencil_terms, so every rho reads them without new zeros or
+    weights; where they fail, the first failing node in the stencil's
+    order raises (see _terms_batch).
     """
     if N < 1:
         raise ValueError("N must be >= 1")

@@ -123,8 +123,9 @@ def _contour_weights(xs, zeros) -> list[list[float]]:
     route's spike is too narrow for the doubles and its integrals would run
     to the panel budget.
     """
-    for x, zs in zip(xs, zeros):
-        g2 = next((z.gamma * z.gamma for z in zs if z.mu == 1), 0.0)
+    firsts = [next((z for z in zs if z.mu == 1), None) for zs in zeros]
+    for x, first in zip(xs, firsts):
+        g2 = first.gamma * first.gamma if first else 0.0
         if 0.0 < g2 < sys.float_info.min:
             raise quad.QuadratureError(f"gamma_1^2 = {g2:.3e} is subnormal at x = {x}; "
                                        "the weight integrals cannot converge")
@@ -133,43 +134,38 @@ def _contour_weights(xs, zeros) -> list[list[float]]:
         groups.setdefault((x >= -1.0, x >= 0.0), []).extend((i, k) for k in range(len(zeros[i])))
     out = [[0.0] * len(zs) for zs in zeros]
     for owners in filter(None, groups.values()):
-        x = [xs[i] for i, _ in owners]
+        xa = np.array([xs[i] for i, _ in owners])
         zs = [zeros[i][k] for i, k in owners]
         # log factor log(1 + (x^2 + s^2)/phi^2) of a real zero; for the imaginary
         # first zero |1 - t^2/y^2| = (gamma^2 + s^2)/y^2, and the constant i*pi
         # branch reduces to an overall sign flip; for the degenerate one at
         # x = -1 it is log(t^2) = log(gamma^2 + s^2) with gamma = 1
         plain_log = np.array([not z.phi_sq > 0.0 for z in zs])
-        shift = np.array([z.gamma * z.gamma if pl else xi * xi
-                          for z, pl, xi in zip(zs, plain_log, x)])
+        shift = np.array([z.gamma * z.gamma if pl else xs[i] * xs[i]
+                          for (i, _), z, pl in zip(owners, zs, plain_log)])
         scale = np.array([abs(z.phi_sq) or 1.0 for z in zs])
 
-        def log_factor(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        def integrand(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
             ratio = (shift[rows] + s * s) / scale[rows]
             if not plain_log.any():
-                return np.log1p(ratio)
+                return np.log1p(ratio) * _kernel_sub(s, xa[rows])
             pl = plain_log[rows]
             values = np.empty_like(ratio)
             values[~pl] = np.log1p(ratio[~pl])
             values[pl] = np.log(ratio[pl])
-            return values
-
-        xa = np.array(x)
-
-        def integrand(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            return log_factor(s, rows) * _kernel_sub(s, xa[rows])
+            return values * _kernel_sub(s, xa[rows])
 
         # where gamma_1^2 underflows (x <~ -380) or x^2 overflows (x >~ 1e154)
         # the quadrature raises naming the non-finite panel; numpy's warnings
         # would only repeat that on stderr
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if x[0] >= -1.0:
+            if xa[0] >= -1.0:
                 f, ends = integrand, quad.truncation_points(integrand, np.abs(xa), WEIGHT_SPEC)
             else:
                 # the spike of width ~ gamma_1 at s = 0 becomes O(1) in v
                 # under s = gamma_1 sinh(v), on [0, asinh((|x| + 45)/gamma_1)]
-                c = [_first_gamma(xs[i], zeros[i]) for i, _ in owners]
-                ends = [math.asinh((45.0 - xi) / ci) for xi, ci in zip(x, c)]
+                c = [(firsts[i] or roots.zero_cached(1, xs[i])).gamma for i, _ in owners]
+                ends = [math.asinh((45.0 - xs[i]) / ci) for (i, _), ci in zip(owners, c)]
                 ca = np.array(c)
 
                 def f(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -177,18 +173,14 @@ def _contour_weights(xs, zeros) -> list[list[float]]:
                     return integrand(cr * np.sinh(v), rows) * cr * np.cosh(v)
 
             integrals = quad.integrate_lockstep(f, [0.0] * len(ends), ends, WEIGHT_SPEC)
-        for (i, k), xi, zero, integral in zip(owners, x, zs, integrals):
+        for (i, k), zero, integral in zip(owners, zs, integrals):
             if zero.phi_sq == 0.0:
                 out[i][k] = 12.0 * math.exp(integral / math.pi)
-                continue
-            sign = -1.0 if zero.phi_sq < 0.0 else 1.0
-            out[i][k] = sign * _prefactor(zero, xi) * math.exp(zero.sigma / math.pi * integral)
+            else:
+                sign = -1.0 if zero.phi_sq < 0.0 else 1.0
+                out[i][k] = (sign * _prefactor(zero, xs[i])
+                             * math.exp(zero.sigma / math.pi * integral))
     return out
-
-
-def _first_gamma(x: float, zeros) -> float:
-    """gamma_1(x), from the zeros at x when they start with the first one."""
-    return (zeros[0] if zeros[0].mu == 1 else roots.zero_cached(1, x)).gamma
 
 
 def weight_v(mu, x: float):

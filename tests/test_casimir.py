@@ -131,6 +131,10 @@ class TestI2:
         jump = integral_I2(eps) - integral_I2(-eps)
         assert jump == pytest.approx(2.0 * C - 1.5 * LOG2, abs=3e-3)
 
+    @pytest.mark.parametrize("x", [-64.0, -100.0, -340.0])
+    def test_ordered_constant_far_below_zero(self, x):
+        assert integral_I2(x) == -math.log(2)
+
     def test_split_point_continuity(self):
         # the analytic far-tail rearrangement must be seamless across S
         lo = integral_I2(3.999)
@@ -229,18 +233,16 @@ class TestThetaTotal:
         assert got == ref  # the rho < 1 branch is defined by this relation
 
     @settings(max_examples=15, deadline=None, derandomize=True, database=None)
-    @given(x=st.floats(-340.0, 1000.0).filter(lambda v: abs(v) >= 1e-280),
+    @given(x=st.floats(-350.0, 1000.0).filter(lambda v: abs(v) >= 1e-280),
            rho=st.floats(0.05, 50.0))
     def test_finite_on_whole_plane(self, x, rho):
-        # the potential overflows from x ~ -346.3 on (see the xfail below), and
-        # I1 rejects |x rho| < 1e-300; neither is swept
+        # x <= -356.5 overflows the weight prefactor, and I1 rejects
+        # |x rho| < 1e-300; neither is swept
         assert math.isfinite(theta_total(x, rho))
 
-    @pytest.mark.xfail(strict=True, raises=OverflowError, reason=(
-        "integral_I2's far tail evaluates psi(-eta, 1) out to the weight overflow at "
-        "eta ~ 356.3, so the potential raises from x ~ -346.3 on, while the force stays "
-        "finite down to x = -355; log-domain weights would make both finite"))
     def test_finite_between_minus_355_and_minus_346(self):
+        # integral_I2 is -log 2 alone from x = -64 down, so only the series at
+        # x itself needs weights, and they overflow from x ~ -356.5 on
         for x in (-347.0, -350.0):
             assert math.isfinite(theta_total(x, 1.0))
 

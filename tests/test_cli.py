@@ -418,17 +418,23 @@ class TestExitCodes:
                        "the weight integrals cannot converge\n")
 
     @pytest.mark.parametrize("x, err", [
-        ("-347", "numerical failure: math range error\n"),
         ("-360", "numerical failure: math range error\n"),
         ("-400", "numerical failure: non-finite integrand value in panel "
                  "[0.0, 400.10660973505827]\n"),
     ])
     def test_potential_failure_below_minus_346(self, capsys, x, err):
-        # from x ~ -346.3 on the potential fails, in I2's far tail first; the
+        # from x ~ -356.5 on the potential fails, as the force does; the
         # message is the one of the first failing x, as in node-by-node order
         argv = ["theta-table", f"--x-min={x}", f"--x-max={x}", "--steps", "1", "--rho", "1"]
         assert cli.main(argv) == 2
         assert capsys.readouterr() == ("", err)
+
+    def test_potential_row_at_minus_347(self, capsys):
+        # I2 is the ordered-phase constant there, and no weight overflows
+        argv = ["theta-table", "--x-min=-347", "--x-max=-347", "--steps", "1", "--rho", "1"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == (
+            "x,rho,theta_total,note\n-347,1,-0.69314718055994529,\n", "")
 
     def test_large_x_row(self, capsys):
         # the zeros are found where the dispersion function is steep

@@ -313,6 +313,13 @@ class TestWeightBatch:
         assert rows[0] == [r.v for r in weight(range(1, 5), 0.0)]
         assert rows[1] == [r.v for r in weight(range(1, 5), 1.0)]
 
+    def test_no_modes(self):
+        # an x given no modes forms an empty group, which no lockstep runs
+        assert weight_v([], 0.5) == []
+        zeros = [[], [roots.find_zero(1, -2.0)], []]
+        assert weights.weight_batch([0.5, -2.0, -0.5], zeros) == [
+            [], [weight_v(1, -2.0).v], []]
+
     def test_mode_subsets_and_order(self):
         # the sinh route reads gamma_1 even where mode 1 is not asked for
         xs = [-3.0, 2.0]
