@@ -29,9 +29,13 @@ before anything is evaluated.  At the critical point the force changes
 sign at the aspect ratio where the weight-two Eisenstein series vanishes
 on the imaginary axis.
 
-theta_column(x, rhos) and vartheta_column(x, rhos) evaluate one x across
-many aspect ratios: theta_oo(x) is computed once and only the series term
-depends on rho.  theta_total and vartheta_total are their one-rho case.
+theta_column(x, rhos) evaluates one x across many aspect ratios:
+theta_oo(x) is computed once and only the series term depends on rho;
+theta_total is its one-rho case.  vartheta_grid(xs, rhos) evaluates a force
+table: theta_oo(x) once per x for rho >= 1, and the points below rho = 1 by
+their distinct u = x rho, whose strip integrals run as one lockstep
+quadrature and whose stencil entries serve every rho.  vartheta_column and
+vartheta_total are its one-x and one-point cases, with the same bits.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -64,6 +68,7 @@ __all__ = [
     "theta_column",
     "vartheta_total",
     "vartheta_column",
+    "vartheta_grid",
     "casimir_amplitude",
     "find_rho0",
     "lattice_to_scaling",
@@ -231,7 +236,7 @@ def theta_sc(x: float) -> float:
             + theta_volume_rho1(x))
 
 
-def x_dtheta_sc(x: float) -> float:
+def x_dtheta_sc(x):
     """The finite combination x * theta_sc'(x).
 
     From the square symmetry,
@@ -239,12 +244,16 @@ def x_dtheta_sc(x: float) -> float:
                      - x dPsi/dx(x,1);
     unlike theta_sc itself this stays finite at x = 0, where it equals
     -1/8 (the corner log amplitude).  Like theta_sc, at DEFAULT_ORDER; the
-    last two terms come from sigma.psi_with_x_dPsi_dx.
+    last two terms come from sigma.psi_with_x_dPsi_dx.  x is a float, or a
+    sequence giving a list, whose strip integrals run as one lockstep each.
     """
-    _require_finite(x)
-    oo = strip.theta_oo(x) + strip.vartheta_oo(x)
-    psi, x_dPsi_dx = sigma.psi_with_x_dPsi_dx(x, 1.0, DEFAULT_ORDER)
-    return oo - 2.0 * psi - x_dPsi_dx
+    xs = [x] if isinstance(x, Real) else list(x)
+    _require_finite(*xs)
+    out = []
+    for u, oo, voo in zip(xs, strip.theta_oo(xs), strip.vartheta_oo(xs)):
+        psi, x_dPsi_dx = sigma.psi_with_x_dPsi_dx(u, 1.0, DEFAULT_ORDER)
+        out.append(oo + voo - 2.0 * psi - x_dPsi_dx)
+    return out[0] if isinstance(x, Real) else out
 
 
 def theta_total(x: float, rho: float) -> float:
@@ -313,25 +322,54 @@ def vartheta_total(x: float, rho: float, N: int = DEFAULT_ORDER) -> float:
 
 def vartheta_column(x: float, rhos: Sequence[float],
                     N: int = DEFAULT_ORDER) -> list[float]:
-    """vartheta_total(x, rho) for each rho, with theta_oo(x) evaluated once.
+    """vartheta_total(x, rho) for each rho: vartheta_grid at one x."""
+    return vartheta_grid([x], rhos, N)[0]
 
-    The strip part is computed only when some rho >= 1 needs it, and only
-    psi(x, rho) per rho there; N truncates only the rho-dependent series.
+
+def vartheta_grid(xs: Sequence[float], rhos: Sequence[float],
+                  N: int = DEFAULT_ORDER) -> list[list[float]]:
+    """[vartheta_total(x, rho) for rho in rhos] for each x of xs, bit for bit.
+
+    rho >= 1 goes per x: theta_oo(x) once, then psi(x, rho); N truncates
+    only the rho-dependent series.  Below rho = 1 the points go by their
+    distinct u = x rho in blocks of 128, half of sigma's stencil cache: a
+    block's strip integrals run as one lockstep per function, and each u's
+    stencil entry serves all its points.  A rho whose square is 0.0 raises
+    before anything is evaluated.  Where the grid fails, each point is
+    evaluated alone, x outer, theta_oo(x) first where some rho >= 1, then
+    rho in order; the first that fails raises.
     """
-    _require_finite(x, *rhos)
+    _require_finite(*xs, *rhos)
     _require_positive(rhos)
-    oo = strip.theta_oo(x) if any(rho >= 1.0 for rho in rhos) else None
-    return [-oo + sigma.psi_strip(x, rho, N) if rho >= 1.0
-            else _exchanged(lambda: _vartheta_exchanged(x, rho, N), rho)
-            for rho in rhos]
-
-
-def _vartheta_exchanged(x: float, rho: float, N: int) -> float:
-    u = x * rho
-    rest = strip.vartheta_oo(u) - rho * x_dtheta_sc(u)
-    # at N = DEFAULT_ORDER x_dtheta_sc(u) has just cached the series terms
-    psi, x_dPsi_dx = sigma.psi_with_x_dPsi_dx(u, 1.0 / rho, N)
-    return rest - psi - x_dPsi_dx
+    high = any(rho >= 1.0 for rho in rhos)
+    try:
+        at_u: dict[float, list[tuple[int, int]]] = {}
+        for j, rho in enumerate(rhos):
+            if rho < 1.0:
+                _exchanged(lambda: 0.0, rho)  # raises where rho^2 is 0.0
+                for i, x in enumerate(xs):
+                    at_u.setdefault(x * rho, []).append((i, j))
+        oos = [strip.theta_oo(x) if high else None for x in xs]
+        out = [[-oo + sigma.psi_strip(x, rho, N) if rho >= 1.0 else None for rho in rhos]
+               for x, oo in zip(xs, oos)]
+        us = list(at_u)
+        for start in range(0, len(us), 128):
+            block = us[start:start + 128]
+            # +0.0 and -0.0 share an entry: no term below depends on the sign of u = 0
+            for u, voo, xd in zip(block, strip.vartheta_oo(block), x_dtheta_sc(block)):
+                for i, j in at_u[u]:
+                    rho = rhos[j]
+                    psi, x_dPsi_dx = sigma.psi_with_x_dPsi_dx(u, 1.0 / rho, N)
+                    out[i][j] = _exchanged(lambda: voo - rho * xd - psi - x_dPsi_dx, rho)
+        return out
+    except (ArithmeticError, RuntimeError, ValueError):
+        if len(xs) * len(rhos) > 1:
+            for x in xs:
+                if high:
+                    strip.theta_oo(x)
+                for rho in rhos:
+                    vartheta_grid([x], [rho], N)
+        raise
 
 
 def casimir_amplitude(rho: float) -> float:

@@ -74,7 +74,7 @@ def _cmd_theta_table(p: dict) -> FunctionTable:
 
 def _cmd_vartheta_table(p: dict) -> FunctionTable:
     xs = _x_grid(p)
-    columns = [casimir.vartheta_column(x, p["rho"]) for x in xs]
+    columns = casimir.vartheta_grid(xs, p["rho"])
     table = FunctionTable(["x", "rho", "vartheta"])
     for i, rho in enumerate(p["rho"]):
         for x, column in zip(xs, columns):
@@ -85,7 +85,10 @@ def _cmd_vartheta_table(p: dict) -> FunctionTable:
 def _cmd_critical(p: dict) -> FunctionTable:
     table = FunctionTable(["rho", "sigma0", "Delta0", "vartheta0", "psi0"])
     for rho in p["rho"]:
-        sigma0 = math.exp(-0.25 * specialfn.log_q_pochhammer(rho))
+        try:
+            sigma0 = math.exp(-0.25 * specialfn.log_q_pochhammer(rho))
+        except OverflowError:  # exp(pi/(48 rho)) from rho ~ 9.2e-5 down
+            raise OverflowError(f"sigma0 at rho = {rho} overflows the doubles") from None
         table.add_row(rho, sigma0, casimir.casimir_amplitude(rho),
                       casimir.vartheta_total(0.0, rho),
                       math.pi / 48.0 * (specialfn.eisenstein_E2(rho) - 1.0))

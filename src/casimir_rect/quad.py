@@ -23,9 +23,9 @@ panels, tolerance test and limits, bisects its own worst panel, and the
 halves of all of them go to the integrand in one call, with an array saying
 which integral each node belongs to.  Its panels sit in (k x capacity)
 arrays, so a round's bookkeeping is a few numpy calls instead of a Python
-loop over the integrals; a batch of one integral runs integrate_finite's
-loop.  Integrands that share one kernel, such as the mode weights, run
-this way, each integral with its own end points.
+loop over the integrals; a batch of one integral goes to integrate_finite.
+Integrands that share one kernel, such as the mode weights and the strip
+functions at many x, run this way, each integral with its own end points.
 
 Each lockstep row equals integrate_finite on its integral alone, bit for
 bit, errors included.  np.vecdot takes each panel row's sums with the same
@@ -195,13 +195,9 @@ def integrate_finite(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC)
     the budget is spent.
     """
     (a,), (b,) = _bounds([a], [b])
-    return _adaptive(_one(f), a, b, spec)
-
-
-def _adaptive(f, a: float, b: float, spec: QuadratureSpec) -> float:
-    """integrate_finite's loop, for a lockstep integrand f(nodes, owners) of one integral."""
     if a == b:
         return 0.0
+    f = _one(f)
     # panel j is [los[j], his[j]], bisected deps[j] times, with Kronrod
     # value vals[j] and error estimate errs[j]
     los, his, deps = [a], [b], [0]
@@ -240,7 +236,8 @@ def integrate_lockstep(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC) -> list[flo
     """
     a, b = _bounds(a, b)
     if len(a) == 1:
-        return [_adaptive(f, a[0], b[0], spec)]
+        return [integrate_finite(lambda nodes: f(nodes, np.zeros(nodes.size, np.int64)),
+                                 a[0], b[0], spec)]
     results = [0.0] * len(a)
     # row r holds the panels of integral ids[r] in its first cnt[r] columns,
     # in no particular order, and zeros after them; p[r, j] = (lo, hi,
@@ -315,8 +312,8 @@ def truncation_points(f, starts, spec: QuadratureSpec) -> list[float]:
     probes = starts[:, None] + np.array([0.25, 1.0, 2.0])
     owners = np.arange(starts.size).repeat(3)
     mags = np.abs(f(probes.ravel(), owners)).reshape(probes.shape)
-    return [start + max(10.0, math.log(10.0 * (float(np.max(m)) + spec.abs_tol) / spec.abs_tol))
-            for start, m in zip(starts.tolist(), mags)]
+    return [start + max(10.0, math.log(10.0 * (m + spec.abs_tol) / spec.abs_tol))
+            for start, m in zip(starts.tolist(), mags.max(axis=1).tolist())]
 
 
 def integrate_semi_infinite(f, a: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:

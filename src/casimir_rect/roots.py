@@ -10,6 +10,8 @@ the single imaginary zero simply carries phi_sq < 0.
 Each zero also carries its decay rate gamma = sqrt(x^2 + phi_sq), the
 scaled transfer-matrix eigenvalue exponent, and the parity
 sigma = (-1)^(mu-1) that splits the spectrum into odd and even families.
+zeros_batch gives find_zero's zeros at many x, solving the real ones in one
+vectorized Newton iteration; np.sin and np.cos must round as math's do.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "eval_char_poly",
     "find_zero",
     "find_zeros",
+    "zeros_batch",
     "near_degenerate",
     "solve_bracket",
     "zero_series_approx",
@@ -94,8 +97,9 @@ def eval_char_poly(phi_sq: float, x: float) -> float:
     return 1.0 + x
 
 
-def _char_and_deriv(f: float, x: float) -> tuple[float, float]:
-    s, c = math.sin(f), math.cos(f)
+def _char_and_deriv(f, x, sin=math.sin, cos=math.cos):
+    """Dispersion function and F-derivative at F = f; arrays with np.sin, np.cos."""
+    s, c = sin(f), cos(f)
     p = c + x * s / f
     dp = -s + x * (f * c - s) / (f * f)
     return p, dp
@@ -234,11 +238,51 @@ def find_zeros(count: int, x: float) -> list[ZeroRecord]:
     """Zeroes for mu = 1..count, strictly ordered in phi_sq."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    records = [find_zero(mu, x) for mu in range(1, count + 1)]
+    records = zeros_batch([x], count)[0]
     for a, b in zip(records, records[1:]):
         if not a.phi_sq < b.phi_sq:
             raise RootFindError(f"zero ordering violated between mu={a.mu} and mu={b.mu}")
     return records
+
+
+def zeros_batch(xs, count: int) -> list[list[ZeroRecord]]:
+    """[find_zero(mu, x) for mu in 1..count] for each x of xs, bit for bit, errors included.
+
+    The real zeros of find_zero's brackets (x != 0; mu >= 2, or x > -1 outside
+    DEGENERATE_WINDOW) run solve_bracket's iteration side by side in the same
+    operations.  Every other zero, and each that leaves the iteration other
+    than by its residual test, is find_zero's, in (x, mu) order.
+    """
+    x = np.repeat(np.asarray(xs, dtype=float), count)
+    mu = np.tile(np.arange(1, count + 1), len(xs))
+    root = np.full(x.size, np.nan)
+    with np.errstate(all="ignore"):
+        todo = np.flatnonzero(np.isfinite(x * x) & (x != 0.0)
+                              & ((mu >= 2) | (1.0 + x >= DEGENERATE_WINDOW)))
+        xg, m = x[todo], mu[todo]
+        lo = np.where(xg > 0.0, m - 0.5, m - 1.0) * np.pi
+        hi = np.where(xg > 0.0, m, m - 0.5) * np.pi
+        lo[lo == 0.0] = 1e-12
+        flo, fhi = (_char_and_deriv(end, xg, np.sin, np.cos)[0] for end in (lo, hi))
+        go = (flo != 0.0) & (fhi != 0.0) & (np.signbit(flo) != np.signbit(fhi))
+        z = 0.5 * (lo + hi)
+        for _ in range(200):
+            todo, xg, lo, hi, flo, z = (a[go] for a in (todo, xg, lo, hi, flo, z))
+            if not todo.size:
+                break
+            fz, dz = _char_and_deriv(z, xg, np.sin, np.cos)
+            done = np.abs(fz) <= _TOL
+            root[todo[done]] = z[done]
+            same = np.signbit(fz) == np.signbit(flo)
+            lo, flo, hi = np.where(same, z, lo), np.where(same, fz, flo), np.where(same, hi, z)
+            znew = z - fz / dz
+            z = np.where((dz != 0.0) & (lo < znew) & (znew < hi), znew, 0.5 * (lo + hi))
+            go = ~done & (hi - lo > 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+        gamma = np.sqrt(x * x + root * root)
+    fields = zip((~np.isnan(root)).tolist(), (root * root).tolist(), gamma.tolist())
+    return [[ZeroRecord(mu=m, sigma=1 if m % 2 == 1 else -1, phi_sq=p, gamma=g) if ok
+             else find_zero(m, xi) for m, (ok, p, g) in zip(range(1, count + 1), fields)]
+            for xi in xs]
 
 
 # -- asymptotic series ------------------------------------------------------

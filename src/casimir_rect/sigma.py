@@ -247,12 +247,12 @@ def psi_strip(x: float, rho: float, N: int) -> float:
 
 def _terms_batch(xs, N: int) -> list[list[tuple[float, float]]]:
     """_terms_up_to(x, N) for each x of xs, bit for bit, uncached: each x's
-    zeros serve both its weights and its terms, and the weights of all x
-    run as one batch.  The batch may meet a later x's failure first, so
-    where it fails each x is rebuilt alone, in order, and the first x that
+    zeros serve its weights and its terms, and the zeros and weights of all
+    x run as one batch each.  The batch may meet a later x's failure first,
+    so where it fails each x is rebuilt alone, in order, and the first x that
     fails alone raises; if none does, the batch's error is raised."""
     try:
-        zeros = [[roots.find_zero(m, x) for m in range(1, 2 * N + 1)] for x in xs]
+        zeros = roots.zeros_batch(xs, 2 * N)
         return [_build_terms(zs, vs, N) for zs, vs in zip(zeros, weight_batch(xs, zeros))]
     except (ArithmeticError, RuntimeError, ValueError):
         if len(xs) > 1:

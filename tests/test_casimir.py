@@ -392,6 +392,54 @@ class TestVarthetaTotal:
         assert x_dtheta_sc(0.0) == expected
 
 
+class TestVarthetaGrid:
+    # x = +0.0 and -0.0, u = 0.9 shared by (1.8, 0.5) and (1.0, 0.9), and
+    # rho = 1 exactly among rho < 1 and rho > 1
+    XS = [-0.0, 0.0, 1.0, 1.8]
+    RHOS = [0.5, 0.9, 1.0, 1.5]
+
+    def test_grid_is_its_points_bit_for_bit(self):
+        grid = casimir.vartheta_grid(self.XS, self.RHOS)
+        for x, row in zip(self.XS, grid):
+            expected = []
+            for rho in self.RHOS:
+                if rho >= 1.0:
+                    expected.append(-strip.theta_oo(x) + sigma.psi_strip(x, rho, 8))
+                else:
+                    u = x * rho
+                    psi, x_dpsi = sigma.psi_with_x_dPsi_dx(u, 1.0 / rho, 8)
+                    rest = strip.vartheta_oo(u) - rho * x_dtheta_sc(u) - psi - x_dpsi
+                    expected.append(rest / (rho * rho))
+            assert list(map(repr, row)) == list(map(repr, expected)), x
+            assert row == [vartheta_total(x, rho) for rho in self.RHOS]
+            assert row == casimir.vartheta_column(x, self.RHOS)
+
+    def test_more_distinct_u_than_one_block(self):
+        # 132 distinct u = x rho: the exchanged points run as two blocks
+        xs = [0.1 * k - 3.25 for k in range(66)]
+        assert len({x * rho for rho in (0.5, 0.61) for x in xs}) > 128
+        grid = casimir.vartheta_grid(xs, [0.5, 0.61])
+        assert grid == [[vartheta_total(x, rho) for rho in (0.5, 0.61)] for x in xs]
+
+    def test_x_dtheta_sc_sequence_is_the_scalar_calls(self):
+        us = [-0.0, 0.0, 0.9, -1.0, 2.5, 0.9]
+        assert list(map(repr, x_dtheta_sc(us))) == [repr(x_dtheta_sc(u)) for u in us]
+
+    @pytest.mark.parametrize("rhos, error, message", [
+        ([0.55, 2.0], OverflowError, "math range error"),
+        ([2.0, 0.55], QuadratureError,
+         "non-finite integrand value in panel [0.0, 650.066939482675]"),
+    ])
+    def test_first_failing_point_raises(self, rhos, error, message):
+        # at x = -650 the weights at x fail (rho = 2), and so do the stencil's
+        # at u = -357.5 (rho = 0.55); the grid evaluates rho >= 1 first, but
+        # raises what the first point in rho order raises
+        with pytest.raises(error) as info:
+            casimir.vartheta_grid([-650.0], rhos)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
 class TestScalingRelation:
     @pytest.mark.parametrize("x,rho", [(-2.0, 1.0), (1.0, 2.0)])
     def test_force_from_potential(self, x, rho):

@@ -205,6 +205,13 @@ class TestCommands:
         row = [float(v) for v in out.strip().split("\n")[1].split(",")]
         assert row[2] == pytest.approx(-math.pi / 48.0 * 1e308, rel=1e-15)
 
+    def test_critical_sigma0_overflow_is_named(self, capsys):
+        # sigma0 = exp(pi/(48 rho)) leaves the doubles from rho ~ 9.2e-5 down
+        assert cli.main(["critical", "--rho", "1e-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: sigma0 at rho = 1e-05 overflows the doubles\n"
+
 
 class TestGridColumns:
     """The grid commands evaluate x-outer but print the point functions' values."""
@@ -375,6 +382,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "rho^-2 times the exchanged value at rho = 1e-200 overflows" in captured.err
+
+    @pytest.mark.parametrize("rhos, err", [
+        (["2", "1e-200"], "non-finite integrand value in panel [0.0, 400.10660973505827]"),
+        (["1e-200", "2"],
+         "rho^-2 times the exchanged value at rho = 1e-200 overflows the doubles"),
+    ], ids=["weights_first", "rho_squared_first"])
+    def test_force_grid_raises_the_first_failing_point(self, capsys, rhos, err):
+        # the grid checks rho^2 before it evaluates anything, and where it
+        # fails it raises what the first point, in table-building order, raises
+        argv = ["vartheta-table", "--x-min=-400", "--x-max=-400", "--steps", "1"]
+        for rho in rhos:
+            argv += ["--rho", rho]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"numerical failure: {err}\n"
 
     @pytest.mark.parametrize("x, rho", [("1.5e-300", "0.5"), ("1e-290", "1e-11"),
                                         ("1e-150", "1e-155")])

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from casimir_rect.roots import (
@@ -11,6 +12,7 @@ from casimir_rect.roots import (
     find_zeros,
     near_degenerate,
     zero_series_approx,
+    zeros_batch,
 )
 
 PI = math.pi
@@ -224,3 +226,36 @@ def test_overflowing_square_raises(mu, x):
 def test_largest_finite_square(mu, x):
     record = find_zero(mu, x)
     assert math.isfinite(record.phi_sq) and math.isfinite(record.gamma)
+
+
+# x = 0 and -1 and the window edges take find_zero's special forms; -300,
+# 1e3 and 1e5 leave the vector iteration by its collapsed-bracket branch
+BATCH_XS = [0.0, -0.0, 1e-9, -1e-9, -1.0, math.nextafter(-1.0, 0.0),
+            math.nextafter(-1.0, -2.0), -1.0 + DEGENERATE_WINDOW, -1.0 - DEGENERATE_WINDOW,
+            math.nextafter(-1.0 + DEGENERATE_WINDOW, 0.0),
+            math.nextafter(-1.0 - DEGENERATE_WINDOW, -2.0), -0.5, 0.37, 2.5, 15.0, -15.0,
+            -300.0, 1e3, 1e5]
+
+
+def test_zeros_batch_is_find_zero_bit_for_bit():
+    rows = zeros_batch(BATCH_XS, 40)
+    for x, row in zip(BATCH_XS, rows):
+        assert repr(row) == repr([find_zero(mu, x) for mu in range(1, 41)]), x
+    assert [repr(zeros_batch([x], 40)[0]) for x in BATCH_XS] == list(map(repr, rows))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.4e154, -1.4e154])
+def test_zeros_batch_raises_find_zero_error(bad):
+    with pytest.raises((ValueError, OverflowError)) as expected:
+        find_zero(1, bad)
+    with pytest.raises(type(expected.value)) as got:
+        zeros_batch([2.5, bad, math.nan], 4)
+    assert str(got.value) == str(expected.value)
+
+
+def test_numpy_sin_cos_are_libm_bit_for_bit():
+    # zeros_batch's iteration is find_zero's only where np.sin and np.cos
+    # round as math.sin and math.cos do; a platform where they differ fails here
+    f = np.random.default_rng(20171).uniform(1e-12, 32.0 * PI, 100_000)
+    values = zip(f.tolist(), np.sin(f).tolist(), np.cos(f).tolist())
+    assert [v for v, s, c in values if s != math.sin(v) or c != math.cos(v)] == []

@@ -76,3 +76,11 @@ def test_smoothness_fd_consistency(x):
     d1 = (theta_oo(x + 1e-4) - theta_oo(x - 1e-4)) / 2e-4
     d2 = (theta_oo(x + 5e-5) - theta_oo(x - 5e-5)) / 1e-4
     assert d1 == pytest.approx(d2, abs=1e-6)
+
+
+def test_sequence_is_the_scalar_calls():
+    # one lockstep quadrature for all x, each value bit for bit its own
+    xs = [0.0, -0.0, 1e-9, -1e-9, -1.0, 2.5, -15.0, -300.0, 300.0]
+    for f in (theta_oo, vartheta_oo):
+        assert list(map(repr, f(xs))) == [repr(f(x)) for x in xs]
+        assert f([]) == []
