@@ -31,7 +31,9 @@ on the imaginary axis.
 
 theta_column(x, rhos) evaluates one x across many aspect ratios:
 theta_oo(x) is computed once and only the series term depends on rho;
-theta_total is its one-rho case.  vartheta_grid(xs, rhos) evaluates a force
+theta_total is its one-rho case.  From x = -64 down, in the ordered phase,
+the potential needs no zero or weight: theta_sc is -log 2 and the series
+term lies below half an ulp.  vartheta_grid(xs, rhos) evaluates a force
 table: theta_oo(x) once per x for rho >= 1, and the points below rho = 1 by
 their distinct u = x rho, whose strip integrals run as one lockstep
 quadrature and whose stencil entries serve every rho.  vartheta_column and
@@ -227,11 +229,15 @@ def theta_sc(x: float) -> float:
     Assembled at unit aspect ratio, the series at DEFAULT_ORDER (bound 1.5e-22):
     theta_sc(x) = -theta_oo(x) + log Sigma(x, 1) + theta_volume(x, 1).
     Carries the -log|x|/8 divergence and the -(3/4) log 2 * sign(x) jump;
-    tends to -log 2 for x -> -inf and to 0 for x -> +inf.
+    tends to 0 for x -> +inf and is the ordered-phase constant -log 2 from
+    x = -64 down, where I2 is -log 2 and the other terms lie below half its
+    ulp; there it is returned at once, without zeros or weights.
     """
     _require_finite(x)
     if x == 0.0:
         raise ValueError("logarithmically divergent at x = 0")
+    if x <= _I2_ORDERED_FROM:
+        return -math.log(2.0)
     return (-strip.theta_oo(x) + math.log(sigma.sigma_series(x, 1.0, DEFAULT_ORDER).value)
             + theta_volume_rho1(x))
 
@@ -272,16 +278,25 @@ def theta_column(x: float, rhos: Sequence[float]) -> list[float]:
     """theta_total(x, rho) for each rho, with theta_oo(x) evaluated once.
 
     The strip part is computed only when some rho >= 1 needs it; rho < 1
-    goes through the exchange symmetry at each rho.
+    goes through the exchange symmetry at each rho.  From x = -64 down,
+    rho >= 1 gives theta_oo(x) - log(2)/rho: Psi(x, rho), of order
+    exp(-rho |x|), lies below half an ulp of that sum (checked down to
+    x = -356, where the weights still evaluate), so no zero or weight is
+    evaluated there.
     """
     _require_finite(x, *rhos)
     if x == 0.0:
         raise ValueError("divergent at x = 0; see casimir_amplitude")
     _require_positive(rhos)
     oo = strip.theta_oo(x) if any(rho >= 1.0 for rho in rhos) else None
-    return [oo + theta_sc(x) / rho + sigma.Psi(x, rho, DEFAULT_ORDER) if rho >= 1.0
-            else _exchanged(lambda: _theta_exchanged(x, rho), rho)
-            for rho in rhos]
+
+    def at(rho: float) -> float:
+        if rho < 1.0:
+            return _exchanged(lambda: _theta_exchanged(x, rho), rho)
+        value = oo + theta_sc(x) / rho
+        return value if x <= _I2_ORDERED_FROM else value + sigma.Psi(x, rho, DEFAULT_ORDER)
+
+    return [at(rho) for rho in rhos]
 
 
 def _theta_exchanged(x: float, rho: float) -> float:

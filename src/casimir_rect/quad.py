@@ -11,8 +11,11 @@ is applied by the caller, which knows its scale.
 
 Every integrand takes a 1-D ndarray of nodes and returns an ndarray of
 the same shape; a callable that only accepts scalars raises on its first
-panel.  Results are deterministic: identical inputs produce bit-identical
-outputs.
+panel.  An integrand must be elementwise: its value at a node may not
+depend on which other nodes share the call.  The quadrature relies on this
+to call it on consecutive blocks of at most _PANEL_BLOCK panels, so the
+integrand's temporaries stay bounded however many panels a round holds.
+Results are deterministic: identical inputs produce bit-identical outputs.
 
 There is one adaptive loop per call shape.  integrate_finite runs one
 integral: it bisects the panel of largest error estimate, the leftmost of
@@ -38,7 +41,9 @@ of a row is the one of largest error with the smallest lower end, the one
 integrate_finite finds first.  A round tests its rows in index order, and
 the first row unconverged at its depth or panel limit raises.
 A panel whose integrand values, Kronrod value or error estimate are not
-finite raises QuadratureError naming it.
+finite raises QuadratureError naming it, checked once all blocks of a call
+are in, so the first such panel is named; an exception the integrand
+raises propagates from the first block that raises it.
 """
 
 from __future__ import annotations
@@ -105,6 +110,7 @@ _WG = np.array([
 
 _MAX_DEPTH = 60
 _MAX_PANELS = 20000
+_PANEL_BLOCK = 128  # most panels per integrand call (1920 nodes)
 
 
 class QuadratureError(RuntimeError):
@@ -126,23 +132,33 @@ class QuadratureSpec:
 DEFAULT_SPEC = QuadratureSpec()
 
 
+def _values(f, nodes, owners) -> np.ndarray:
+    """f(nodes, owners) as a float array; ValueError unless of the nodes' shape."""
+    y = np.asarray(f(nodes, owners), dtype=float)
+    if y.shape != nodes.shape:
+        raise ValueError(f"integrand returned shape {y.shape} for {nodes.shape} nodes")
+    return y
+
+
 def _estimates(f, owners, los, his):
     """Gauss-Kronrod values and error estimates of the panels [los[j], his[j]]
-    of the integrals owners[j] from one call of f, as two arrays, each entry
-    bit-identical to its panel evaluated alone: np.vecdot sums each row with
-    the same dot product.  A non-finite integrand value, or a value or error
-    estimate that overflows the doubles, raises QuadratureError naming the
-    first such panel.
+    of the integrals owners[j], as two arrays, each entry bit-identical to
+    its panel evaluated alone: np.vecdot sums each row with the same dot
+    product.  f runs on consecutive blocks of at most _PANEL_BLOCK panels.
+    A non-finite integrand value, or a value or error estimate that
+    overflows the doubles, raises QuadratureError naming the first such
+    panel.
     """
     if not len(owners):
         return np.empty(0), np.empty(0)
     lo, hi = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    nodes = (mid[:, None] + half[:, None] * _XK).ravel()
-    y = np.asarray(f(nodes, np.asarray(owners).repeat(_XK.size)), dtype=float)
-    if y.shape != nodes.shape:
-        raise ValueError(f"integrand returned shape {y.shape} for {nodes.shape} nodes")
-    y = y.reshape(len(owners), _XK.size)
+    owners = np.asarray(owners)
+    y = np.empty((owners.size, _XK.size))
+    for start in range(0, owners.size, _PANEL_BLOCK):
+        block = slice(start, start + _PANEL_BLOCK)
+        nodes = (mid[block, None] + half[block, None] * _XK).ravel()
+        y[block] = _values(f, nodes, owners[block].repeat(_XK.size)).reshape(-1, _XK.size)
     if not np.isfinite(y).all():
         j = int(np.argmin(np.isfinite(y).all(axis=1)))
         raise QuadratureError(f"non-finite integrand value in panel [{lo[j]}, {hi[j]}]")
@@ -309,9 +325,13 @@ def truncation_points(f, starts, spec: QuadratureSpec) -> list[float]:
     """Per integral i of a lockstep integrand f(nodes, owners), a point T beyond
     starts[i] so that an e^{-t} tail beyond it is below abs_tol/10."""
     starts = np.asarray(starts, dtype=float)
-    probes = starts[:, None] + np.array([0.25, 1.0, 2.0])
+    probes = (starts[:, None] + np.array([0.25, 1.0, 2.0])).ravel()
     owners = np.arange(starts.size).repeat(3)
-    mags = np.abs(f(probes.ravel(), owners)).reshape(probes.shape)
+    mags = np.empty(probes.size)
+    step = _PANEL_BLOCK * _XK.size  # three probes per integral, as many nodes as a block
+    for i in range(0, probes.size, step):
+        mags[i:i + step] = np.abs(_values(f, probes[i:i + step], owners[i:i + step]))
+    mags = mags.reshape(-1, 3)
     return [start + max(10.0, math.log(10.0 * (m + spec.abs_tol) / spec.abs_tol))
             for start, m in zip(starts.tolist(), mags.max(axis=1).tolist())]
 

@@ -56,7 +56,7 @@ def _check_mode(mu) -> None:
         raise ValueError(f"mu must be >= 1 and an integer, got {mu!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZeroRecord:
     """One zero of the dispersion function at fixed x.
 

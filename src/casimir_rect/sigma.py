@@ -19,13 +19,17 @@ psi_with_x_dPsi_dx gives psi with x dPsi/dx, a Richardson-refined central
 difference, from the terms at its five nodes, built as one batch and cached
 per (x, N) so that every rho reads them.  Both build their terms in
 _terms_batch, which holds the one first-failure rule: where a batch's
-terms fail, it raises what its first failing x raises alone.  The package
-sums the series to DEFAULT_ORDER, and it holds for rho >= MIN_RHO.
+terms fail, it raises what its first failing x raises alone.  The terms at
+one x are held as two flat array('d')s in step, the amplitudes a_s and the
+exponents Gamma_s: a fifth of the memory of a tuple per term, which counts
+in the caches.  The package sums the series to DEFAULT_ORDER, and it holds
+for rho >= MIN_RHO.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -145,10 +149,10 @@ def _plan(N: int):
                       for idx, modes in plans] for plans in orders]
 
 
-def _build_terms(zeros, vs, N: int) -> list[tuple[float, float]]:
-    """The series terms (a_s, Gamma_s) to order N from the zeros and weights
-    v_1, v_2, ... of modes 1..2N at one x, bit for bit amplitude's values;
-    within an order by decreasing Gamma_s, so the smallest is added last."""
+def _build_terms(zeros, vs, N: int) -> tuple[array, array]:
+    """The series terms to order N from the zeros and weights v_1, v_2, ...
+    of modes 1..2N at one x, bit for bit amplitude's values; within an order
+    by decreasing Gamma_s, so the smallest is added last."""
     pairs, orders = _plan(N)
     factors = [(zeros[m].phi_sq - zeros[k].phi_sq) ** e for m, k, e in pairs]
     factors += vs
@@ -159,13 +163,14 @@ def _build_terms(zeros, vs, N: int) -> list[tuple[float, float]]:
                  for take, take_gammas in plans]
         group.sort(key=lambda term: -term[1])
         out += group
-    return out
+    amps, gamma_sums = zip(*out)
+    return array("d", amps), array("d", gamma_sums)
 
 
 @lru_cache(maxsize=256, typed=True)
-def _terms_up_to(x: float, N: int) -> tuple[tuple[float, float], ...]:
+def _terms_up_to(x: float, N: int) -> tuple[array, array]:
     zeros = [roots.zero_cached(m, x) for m in range(1, 2 * N + 1)]
-    return tuple(_build_terms(zeros, weight_cached(x, batch_size(2 * N)), N))
+    return _build_terms(zeros, weight_cached(x, batch_size(2 * N)), N)
 
 
 def _require_rho(rho: float) -> None:
@@ -174,13 +179,14 @@ def _require_rho(rho: float) -> None:
                          "potential/force level instead")
 
 
-def _sums(terms, rho: float) -> tuple[float, float]:
+def _sums(terms: tuple[array, array], rho: float) -> tuple[float, float]:
     """The force numerator -sum_s Gamma_s a_s exp(-rho Gamma_s) and Sigma^(N),
     accumulated in one pass over the series terms."""
+    exp, neg_rho = math.exp, -rho  # bound once: the tables' innermost loop
     num = 0.0
     den = 1.0
-    for a, gamma_sum in terms:
-        w = a * math.exp(-rho * gamma_sum)
+    for a, gamma_sum in zip(*terms):
+        w = a * exp(neg_rho * gamma_sum)
         num -= gamma_sum * w
         den += w
     return num, den
@@ -245,7 +251,7 @@ def psi_strip(x: float, rho: float, N: int) -> float:
     return num / den
 
 
-def _terms_batch(xs, N: int) -> list[list[tuple[float, float]]]:
+def _terms_batch(xs, N: int) -> list[tuple[array, array]]:
     """_terms_up_to(x, N) for each x of xs, bit for bit, uncached: each x's
     zeros serve its weights and its terms, and the zeros and weights of all
     x run as one batch each.  The batch may meet a later x's failure first,
@@ -276,13 +282,13 @@ def _step(x: float) -> float:
 
 
 @lru_cache(maxsize=256, typed=True)
-def _stencil_terms(x: float, N: int) -> tuple[tuple[tuple[float, float], ...], ...]:
+def _stencil_terms(x: float, N: int) -> tuple[tuple[array, array], ...]:
     """The series terms to order N at the nodes [x, x + h/2, x - h/2, x + h,
     x - h] of the x-derivative, h = _step(x), one batch; at x = 0, where the
     derivative term vanishes, at [x] alone."""
     h = _step(x)
     nodes = [x] if x == 0.0 else [x, x + h / 2.0, x - h / 2.0, x + h, x - h]
-    return tuple(map(tuple, _terms_batch(nodes, N)))
+    return tuple(_terms_batch(nodes, N))
 
 
 def psi_with_x_dPsi_dx(x: float, rho: float, N: int) -> tuple[float, float]:

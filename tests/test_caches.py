@@ -1,6 +1,8 @@
 """The float-keyed caches are bounded, so memory stays flat in a long run,
 and typed, so a float never reads the entry of an equal int."""
 
+import sys
+
 import pytest
 
 from casimir_rect import casimir, roots, sigma, weights
@@ -70,3 +72,15 @@ def test_cold_exchanged_force_caches_one_stencil_entry():
     assert sigma._stencil_terms.cache_info().currsize == 1
     for cached in (roots.zero_cached, weights.weight_cached, sigma._terms_up_to):
         assert cached.cache_info().currsize == 0
+
+
+def _deep_size(obj) -> int:
+    """getsizeof of obj and, through nested tuples, of everything it holds."""
+    return sys.getsizeof(obj) + (sum(map(_deep_size, obj)) if isinstance(obj, tuple) else 0)
+
+
+def test_stencil_entry_is_small():
+    # five nodes' series terms, each as two flat arrays of doubles: about
+    # 6 KB per entry; as tuples of float pairs an entry took 37 KB, so a full
+    # 256-entry cache held about 9 MB
+    assert _deep_size(sigma._stencil_terms(1.3, 8)) < 20e3

@@ -233,18 +233,44 @@ class TestThetaTotal:
         assert got == ref  # the rho < 1 branch is defined by this relation
 
     @settings(max_examples=15, deadline=None, derandomize=True, database=None)
-    @given(x=st.floats(-350.0, 1000.0).filter(lambda v: abs(v) >= 1e-280),
+    @given(x=st.floats(-1e5, 1000.0).filter(lambda v: abs(v) >= 1e-280),
            rho=st.floats(0.05, 50.0))
     def test_finite_on_whole_plane(self, x, rho):
-        # x <= -356.5 overflows the weight prefactor, and I1 rejects
-        # |x rho| < 1e-300; neither is swept
+        # I1 rejects |x rho| < 1e-300, which is not swept
         assert math.isfinite(theta_total(x, rho))
 
     def test_finite_between_minus_355_and_minus_346(self):
-        # integral_I2 is -log 2 alone from x = -64 down, so only the series at
-        # x itself needs weights, and they overflow from x ~ -356.5 on
+        # integral_I2 is -log 2 alone from x = -64 down, and so is theta_sc
         for x in (-347.0, -350.0):
             assert math.isfinite(theta_total(x, 1.0))
+
+    @staticmethod
+    def _full_sum(x, rho):
+        # theta_oo + theta_sc/rho + Psi for rho >= 1, every term evaluated
+        sc = (-strip.theta_oo(x) + math.log(sigma.sigma_series(x, 1.0, sigma.DEFAULT_ORDER).value)
+              + theta_volume_rho1(x))
+        assert sc == -LOG2
+        return strip.theta_oo(x) + sc / rho + sigma.Psi(x, rho, sigma.DEFAULT_ORDER)
+
+    @pytest.mark.parametrize("x", np.linspace(-356.0, -64.0, 37).tolist())
+    def test_ordered_phase_equals_the_full_sum(self, x):
+        # from x = -64 down theta_sc is -log 2 and Psi is left out; down to
+        # x = -356, where the weights still evaluate, the sum of every term
+        # has the same bits, at rho < 1 once x rho <= -64 as well
+        assert theta_sc(x) == -LOG2
+        for rho in (1.0, 2.0, 7.0, 1e40):
+            assert theta_total(x, rho) == self._full_sum(x, rho)
+        for rho in (0.3, 0.5):
+            if x * rho <= -64.0:
+                assert theta_total(x, rho) == self._full_sum(x * rho, 1.0 / rho) / (rho * rho)
+
+    @pytest.mark.parametrize("x", [-360.0, -400.0, -1000.0, -1e5])
+    def test_ordered_phase_below_the_weights(self, x):
+        # where the weights fail, the potential is -log(2)/rho to the last
+        # bit at rho >= 1, and within an ulp of it through the exchange below
+        for rho in (1.0, 7.0):
+            assert theta_total(x, rho) == -LOG2 / rho
+        assert theta_total(x, 0.3) == pytest.approx(-LOG2 / 0.3, rel=2e-16)
 
     @pytest.mark.parametrize("rho", [1e-155, 1e-200])
     @pytest.mark.parametrize("total, x", [(theta_total, 1.0), (vartheta_total, 1.0),

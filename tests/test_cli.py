@@ -444,13 +444,24 @@ class TestExitCodes:
         ("-360", "numerical failure: math range error\n"),
         ("-400", "numerical failure: non-finite integrand value in panel "
                  "[0.0, 400.10660973505827]\n"),
-    ])
-    def test_potential_failure_below_minus_346(self, capsys, x, err):
-        # from x ~ -356.5 on the potential fails, as the force does; the
-        # message is the one of the first failing x, as in node-by-node order
-        argv = ["theta-table", f"--x-min={x}", f"--x-max={x}", "--steps", "1", "--rho", "1"]
+    ], ids=["-360", "-400"])
+    def test_force_failure_below_minus_356(self, capsys, x, err):
+        # from x ~ -356.5 on the force fails: its series needs the weights at
+        # x, which the linear domain cannot hold there
+        argv = ["vartheta-table", f"--x-min={x}", f"--x-max={x}", "--steps", "1", "--rho", "1"]
         assert cli.main(argv) == 2
         assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize("x", ["-360", "-400", "-1000", "-1e5"])
+    def test_potential_row_below_minus_356(self, capsys, x):
+        # the potential is theta_oo(x) - log(2)/rho there, from no weight
+        argv = ["theta-table", f"--x-min={x}", f"--x-max={x}", "--steps", "1",
+                "--rho", "0.3", "--rho", "1", "--rho", "7"]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert [row.split(",")[2] for row in out.splitlines()[1:]] == [
+            "-2.3104906018664839", "-0.69314718055994529", "-0.099021025794277892"]
 
     def test_potential_row_at_minus_347(self, capsys):
         # I2 is the ordered-phase constant there, and no weight overflows
@@ -479,7 +490,7 @@ class TestExitCodes:
         assert err == "numerical failure: zero mu=1 at x=1e+300: x^2 overflows the doubles\n"
 
     def test_division_by_zero_prints_one_line(self, capsys):
-        argv = ["theta-table", "--x-min=-1000", "--x-max=-1000", "--steps", "1", "--rho", "1"]
+        argv = ["vartheta-table", "--x-min=-1000", "--x-max=-1000", "--steps", "1", "--rho", "1"]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert cli.main(argv) == 2

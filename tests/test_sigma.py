@@ -274,4 +274,4 @@ class TestTermBuilder:
             group = [amplitude(s, x) for s in enumerate_sets(n)]
             group.sort(key=lambda t: -t.gamma_sum)
             want += [(t.a, t.gamma_sum) for t in group]
-        assert list(sigma._terms_up_to(x, N)) == want
+        assert list(zip(*sigma._terms_up_to(x, N))) == want

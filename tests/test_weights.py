@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,6 +320,32 @@ class TestWeightBatch:
         zeros = [[], [roots.find_zero(1, -2.0)], []]
         assert weights.weight_batch([0.5, -2.0, -0.5], zeros) == [
             [], [weight_v(1, -2.0).v], []]
+
+    def test_batch_spanning_several_panel_blocks(self):
+        # 43 x on both routes and signs, about 21 x (336 integrals) per
+        # lockstep, so the quadrature calls the integrand on several blocks
+        # of panels per round; each row must still equal its x alone
+        xs = np.linspace(-40.0, 40.0, 43).tolist()
+        rows = weights.weight_batch(xs, self._zeros(xs))
+        assert rows == [[r.v for r in weight(range(1, 17), x)] for x in xs]
+
+    def test_working_memory_is_bounded(self):
+        # the integrand runs on at most 128 panels per call, so a batch of
+        # 30 x by 16 modes (480 integrals) peaks near 1.1 MB; evaluated on
+        # every panel of a round at once it peaked at 2.3 MB
+        xs = np.linspace(-40.0, -4.0, 30).tolist()
+        zeros = self._zeros(xs)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            weights.weight_batch(xs, zeros)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 1.5e6
 
     def test_mode_subsets_and_order(self):
         # the sinh route reads gamma_1 even where mode 1 is not asked for
