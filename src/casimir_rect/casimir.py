@@ -23,11 +23,12 @@ and for rho < 1 through the exchanged-direction expression built from the
 strip force function and the combination x*theta_sc'(x), which stays finite
 at x = 0 (it tends to -1/8, the corner log amplitude).  That expression
 needs psi and x dPsi/dx at u = x rho for aspect ratios 1 and 1/rho;
-sigma.psi_with_x_dPsi_dx reads all four from one cached batch of series
-terms per u.  A rho so small that rho^2 is 0.0 raises OverflowError
-before anything is evaluated.  At the critical point the force changes
-sign at the aspect ratio where the weight-two Eisenstein series vanishes
-on the imaginary axis.
+sigma's stencil readers give all four from the series terms at the
+derivative nodes of u, cached per block of u and built four u to a batch.
+A rho so small that rho^2 is 0.0 raises OverflowError before anything is
+evaluated.  At the critical point the force changes sign at the aspect
+ratio where the weight-two Eisenstein series vanishes on the imaginary
+axis.
 
 theta_column(x, rhos) evaluates one x across many aspect ratios:
 theta_oo(x) is computed once and only the series term depends on rho;
@@ -256,8 +257,9 @@ def x_dtheta_sc(x):
     xs = [x] if isinstance(x, Real) else list(x)
     _require_finite(*xs)
     out = []
-    for u, oo, voo in zip(xs, strip.theta_oo(xs), strip.vartheta_oo(xs)):
-        psi, x_dPsi_dx = sigma.psi_with_x_dPsi_dx(u, 1.0, DEFAULT_ORDER)
+    for oo, voo, at in zip(strip.theta_oo(xs), strip.vartheta_oo(xs),
+                           sigma.psi_with_x_dPsi_dx_readers(xs, DEFAULT_ORDER)):
+        psi, x_dPsi_dx = at(1.0)
         out.append(oo + voo - 2.0 * psi - x_dPsi_dx)
     return out[0] if isinstance(x, Real) else out
 
@@ -347,12 +349,13 @@ def vartheta_grid(xs: Sequence[float], rhos: Sequence[float],
 
     rho >= 1 goes per x: theta_oo(x) once, then psi(x, rho); N truncates
     only the rho-dependent series.  Below rho = 1 the points go by their
-    distinct u = x rho in blocks of 128, half of sigma's stencil cache: a
-    block's strip integrals run as one lockstep per function, and each u's
-    stencil entry serves all its points.  A rho whose square is 0.0 raises
-    before anything is evaluated.  Where the grid fails, each point is
-    evaluated alone, x outer, theta_oo(x) first where some rho >= 1, then
-    rho in order; the first that fails raises.
+    distinct u = x rho in blocks of 128: a block's strip integrals run as
+    one lockstep per function, its stencils are one entry of sigma's
+    stencil cache, built four u to a series batch, and each u's stencil
+    serves all its points.  A rho whose square is 0.0 raises before
+    anything is evaluated.  Where the grid fails, each point is evaluated
+    alone, x outer, theta_oo(x) first where some rho >= 1, then rho in
+    order; the first that fails raises.
     """
     _require_finite(*xs, *rhos)
     _require_positive(rhos)
@@ -371,10 +374,11 @@ def vartheta_grid(xs: Sequence[float], rhos: Sequence[float],
         for start in range(0, len(us), 128):
             block = us[start:start + 128]
             # +0.0 and -0.0 share an entry: no term below depends on the sign of u = 0
-            for u, voo, xd in zip(block, strip.vartheta_oo(block), x_dtheta_sc(block)):
+            for u, voo, xd, at in zip(block, strip.vartheta_oo(block), x_dtheta_sc(block),
+                                      sigma.psi_with_x_dPsi_dx_readers(block, N)):
                 for i, j in at_u[u]:
                     rho = rhos[j]
-                    psi, x_dPsi_dx = sigma.psi_with_x_dPsi_dx(u, 1.0 / rho, N)
+                    psi, x_dPsi_dx = at(1.0 / rho)
                     out[i][j] = _exchanged(lambda: voo - rho * xd - psi - x_dPsi_dx, rho)
         return out
     except (ArithmeticError, RuntimeError, ValueError):

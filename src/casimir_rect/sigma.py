@@ -16,9 +16,10 @@ strip force psi = d(log Sigma)/d(rho), the latter with the rho-derivative
 taken analytically on the series; psi_strip_batch gives the unit-aspect
 psi(x, 1) at many x that are used once, past the caches; and
 psi_with_x_dPsi_dx gives psi with x dPsi/dx, a Richardson-refined central
-difference, from the terms at its five nodes, built as one batch and cached
-per (x, N) so that every rho reads them.  Both build their terms in
-_terms_batch, which holds the one first-failure rule: where a batch's
+difference, from the terms at its five nodes, cached so that every rho reads
+them; psi_with_x_dPsi_dx_readers gives it at many x from one cache entry,
+whose stencils are built four x (twenty nodes) to a batch.  All build their
+terms in _terms_batch, which holds the one first-failure rule: where a batch's
 terms fail, it raises what its first failing x raises alone.  The terms at
 one x are held as two flat array('d')s in step, the amplitudes a_s and the
 exponents Gamma_s: a fifth of the memory of a tuple per term, which counts
@@ -30,8 +31,10 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import islice
 from operator import itemgetter
 
 import numpy as np
@@ -52,6 +55,7 @@ __all__ = [
     "psi_strip",
     "psi_strip_batch",
     "psi_with_x_dPsi_dx",
+    "psi_with_x_dPsi_dx_readers",
     "critical_series_coefficients",
 ]
 
@@ -281,30 +285,40 @@ def _step(x: float) -> float:
     return max(1e-4, 1e-4 * abs(x))
 
 
-@lru_cache(maxsize=256, typed=True)
-def _stencil_terms(x: float, N: int) -> tuple[tuple[array, array], ...]:
-    """The series terms to order N at the nodes [x, x + h/2, x - h/2, x + h,
-    x - h] of the x-derivative, h = _step(x), one batch; at x = 0, where the
-    derivative term vanishes, at [x] alone."""
+def _stencil_nodes(x: float) -> list[float]:
     h = _step(x)
-    nodes = [x] if x == 0.0 else [x, x + h / 2.0, x - h / 2.0, x + h, x - h]
-    return tuple(_terms_batch(nodes, N))
+    return [x] if x == 0.0 else [x, x + h / 2.0, x - h / 2.0, x + h, x - h]
 
 
-def psi_with_x_dPsi_dx(x: float, rho: float, N: int) -> tuple[float, float]:
-    """(psi_strip(x, rho, N), x * dPsi/dx(x, rho)) from one cached batch per (x, N).
+# u per series batch: 20 nodes, 320 weight integrals, 640 panels (five whole
+# quadrature blocks) in a bisection round
+_STENCIL_CHUNK = 4
 
-    The derivative is the Richardson-refined central difference
-    (4 d(h/2) - d(h))/3 with d(s) = (Psi(x + s) - Psi(x - s))/(2s) and
-    h = _step(x), and 0 at x = 0.  The series terms at the stencil's nodes
-    come from _stencil_terms, so every rho reads them without new zeros or
-    weights; where they fail, the first failing node in the stencil's
-    order raises (see _terms_batch).
+
+@lru_cache(maxsize=2, typed=True)
+def _stencil_terms(us: tuple[float, ...], N: int) -> tuple[tuple[tuple[array, array], ...], ...]:
+    """The stencil of each u of us: the series terms to order N at the nodes
+    [u, u + h/2, u - h/2, u + h, u - h] of the u-derivative, h = _step(u);
+    at u = 0, where the derivative term vanishes, at [u] alone.
+
+    The stencils of _STENCIL_CHUNK u at a time are one _terms_batch over
+    their nodes in order, so the first failing u raises what its stencil
+    raises alone.  An entry holds a whole tuple of u, about 6.4 KB per
+    stencil at order 8; a force table's blocks of 128 u fill both entries
+    with about 1.6 MB.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    out = []
+    for start in range(0, len(us), _STENCIL_CHUNK):
+        nodes = [_stencil_nodes(u) for u in us[start:start + _STENCIL_CHUNK]]
+        terms = iter(_terms_batch([x for xs in nodes for x in xs], N))
+        out += [tuple(islice(terms, len(xs))) for xs in nodes]
+    return tuple(out)
+
+
+def _psi_pair(stencil, x: float, rho: float) -> tuple[float, float]:
+    """(psi, x dPsi/dx) at rho from the stencil of x; see psi_with_x_dPsi_dx."""
     _require_rho(rho)
-    at_x, *others = _stencil_terms(x, N)
+    at_x, *others = stencil
     num, den = _sums(at_x, rho)
     psi = num / den
     if not others:  # x = 0
@@ -314,6 +328,32 @@ def psi_with_x_dPsi_dx(x: float, rho: float, N: int) -> tuple[float, float]:
     d_half = (Psi[0] - Psi[1]) / (2.0 * (h / 2.0))
     d_full = (Psi[2] - Psi[3]) / (2.0 * h)
     return psi, x * ((4.0 * d_half - d_full) / 3.0)
+
+
+def psi_with_x_dPsi_dx_readers(xs, N: int) -> list[Callable[[float], tuple[float, float]]]:
+    """For each x of xs, the function rho -> psi_with_x_dPsi_dx(x, rho, N),
+    bit for bit, read from one cached entry of all their stencils."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    xs = tuple(xs)
+    return [partial(_psi_pair, stencil, x) for x, stencil in zip(xs, _stencil_terms(xs, N))]
+
+
+def psi_with_x_dPsi_dx(x: float, rho: float, N: int) -> tuple[float, float]:
+    """(psi_strip(x, rho, N), x * dPsi/dx(x, rho)) from the cached stencil of x.
+
+    The derivative is the Richardson-refined central difference
+    (4 d(h/2) - d(h))/3 with d(s) = (Psi(x + s) - Psi(x - s))/(2s) and
+    h = _step(x), and 0 at x = 0.  The series terms at the stencil's nodes
+    come from _stencil_terms((x,), N), so every rho reads them without new
+    zeros or weights; where they fail, the first failing node in the
+    stencil's order raises (see _terms_batch).  psi_with_x_dPsi_dx_readers
+    gives the same values for many x from one entry.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    _require_rho(rho)  # before the stencil, whose failure would otherwise come first
+    return _psi_pair(_stencil_terms((x,), N)[0], x, rho)
 
 
 def critical_series_coefficients(N: int) -> list[float]:

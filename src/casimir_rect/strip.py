@@ -54,8 +54,11 @@ def _strip_integral(x, integrand, scale: float):
         cr = ca[rows]
         return integrand(cr * np.sinh(u), xa[rows]) * cr * np.cosh(u)
 
-    values = [-v / scale for v in quad.integrate_lockstep(mapped, [0.0] * len(xs), ends,
-                                                          STRIP_SPEC)]
+    # at |x| near the largest double, g and B overflow; the quadrature raises
+    # naming the non-finite panel, and numpy's warnings would only repeat it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        integrals = quad.integrate_lockstep(mapped, [0.0] * len(xs), ends, STRIP_SPEC)
+    values = [-v / scale for v in integrals]
     return values[0] if isinstance(x, Real) else values
 
 

@@ -32,9 +32,9 @@ quadrature sums each panel with the dot product of a lone panel
 (np.vecdot), so each weight is bit-identical to the weight of its mode
 computed alone, the degenerate one included.  weight_v batches the modes
 at one x; weight_batch batches many x, uncached, for abscissae used once:
-the nodes of I2's quadrature calls and the five nodes of the series'
-x-derivative stencil.  weight_cached holds v_1..v_n per x, one batch per
-entry.
+the nodes of I2's quadrature calls and the nodes of the series'
+x-derivative stencils, five per x and four x to a batch.  weight_cached
+holds v_1..v_n per x, one batch per entry.
 """
 
 from __future__ import annotations
@@ -96,12 +96,20 @@ def _kernel_sub(s: np.ndarray, x) -> np.ndarray:
     """
     s = np.asarray(s, dtype=float)
     t = np.hypot(s, x)
+    # exp(-2t) is evaluated once; it and 1 + exp(-2t) are released once used,
+    # so they add no node array to the kernel's peak memory
     if np.all(x >= 0.0):
         d = t + x * np.tanh(t)
+        one_e = 1.0 + np.exp(-2.0 * t)
     else:
-        d = s * s / (t - x) + (-2.0 * x) * np.exp(-2.0 * t) / (1.0 + np.exp(-2.0 * t))
+        d = s * s / (t - x)
+        e = np.exp(-2.0 * t)
+        one_e = 1.0 + e
+        d += (-2.0 * x) * e / one_e
+        del e
     # 1/cosh(t) in overflow-safe form
-    sech = 2.0 * np.exp(-t) / (1.0 + np.exp(-2.0 * t))
+    sech = 2.0 * np.exp(-t) / one_e
+    del one_e
     return (x - s * s) * sech / (t * d)
 
 

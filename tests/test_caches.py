@@ -81,6 +81,7 @@ def _deep_size(obj) -> int:
 
 def test_stencil_entry_is_small():
     # five nodes' series terms, each as two flat arrays of doubles: about
-    # 6 KB per entry; as tuples of float pairs an entry took 37 KB, so a full
-    # 256-entry cache held about 9 MB
-    assert _deep_size(sigma._stencil_terms(1.3, 8)) < 20e3
+    # 6 KB per stencil; as tuples of float pairs a stencil took 37 KB
+    us = (1.3, -2.1, 0.4, 7.0, 2.5)  # two chunks
+    assert _deep_size(sigma._stencil_terms(us, 8)) < 20e3 * len(us)
+    assert _deep_size(sigma._stencil_terms((1.3,), 8)) < 20e3

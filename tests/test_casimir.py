@@ -1,13 +1,14 @@
 """Assembly-level tests: integrals, decomposition, symmetry, force branches."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimir_rect import casimir, roots, sigma, strip
+from casimir_rect import casimir, roots, sigma, strip, weights
 from casimir_rect.quad import QuadratureError
 from casimir_rect.casimir import (
     ScalingPoint,
@@ -448,8 +449,54 @@ class TestVarthetaGrid:
         assert grid == [[vartheta_total(x, rho) for rho in (0.5, 0.61)] for x in xs]
 
     def test_x_dtheta_sc_sequence_is_the_scalar_calls(self):
-        us = [-0.0, 0.0, 0.9, -1.0, 2.5, 0.9]
+        # 14 u, so the stencils run as four chunks, each one series batch
+        us = [2.5, -0.0, -1.0, -0.999, 0.0, 1e-9, -1e-9, -300.0, 13.5, 0.9, -20.0, 5e-5,
+              -0.5, 0.9]
+        assert len(us) > 3 * sigma._STENCIL_CHUNK
         assert list(map(repr, x_dtheta_sc(us))) == [repr(x_dtheta_sc(u)) for u in us]
+
+    # the slab_force benchmark grid: 13 x by 3 rho < 1, 37 distinct u = x rho
+    SLAB_XS = [-15.0 + 2.5 * k for k in range(13)]
+    SLAB_RHOS = [0.55, 0.725, 0.9]
+
+    @staticmethod
+    def _clear_caches():
+        for cached in (roots.zero_cached, weights.weight_cached, sigma._terms_up_to,
+                       sigma._stencil_terms):
+            cached.cache_clear()
+
+    def test_slab_grid_runs_one_weight_lockstep_per_stencil_chunk(self, monkeypatch):
+        us = {x * rho for x in self.SLAB_XS for rho in self.SLAB_RHOS}
+        assert len(us) == 37
+        calls = []
+        contour = weights._contour_weights
+
+        def counted(xs, zeros):
+            calls.append(len(xs))
+            return contour(xs, zeros)
+
+        self._clear_caches()
+        monkeypatch.setattr(weights, "_contour_weights", counted)
+        casimir.vartheta_grid(self.SLAB_XS, self.SLAB_RHOS)
+        assert len(calls) <= -(-len(us) // sigma._STENCIL_CHUNK)  # 37 one u at a time
+
+    def test_slab_grid_working_memory_is_bounded(self):
+        # the stencils run four u (320 weight integrals) to a batch: the grid
+        # peaked at 0.86 MB; eight u to a batch peaked at 1.33 MB, all 37 in
+        # one batch at 3.1 MB, and one u at a time at 0.55 MB
+        casimir.vartheta_grid([1.0], [0.6])  # the series plan, built once
+        self._clear_caches()
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            casimir.vartheta_grid(self.SLAB_XS, self.SLAB_RHOS)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 1.1e6
 
     @pytest.mark.parametrize("rhos, error, message", [
         ([0.55, 2.0], OverflowError, "math range error"),

@@ -489,6 +489,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "numerical failure: zero mu=1 at x=1e+300: x^2 overflows the doubles\n"
 
+    @pytest.mark.parametrize("command, x, err", [
+        ("theta-table", "-1.7e308", "non-finite integrand value in panel [0.0, 0.881373587019543]"),
+        ("vartheta-table", "1.7e308", "zero mu=1 at x=1.7e+308: x^2 overflows the doubles"),
+    ], ids=["theta-table", "vartheta-table"])
+    def test_strip_overflow_prints_one_line(self, capsys, command, x, err):
+        # g = hypot(w, x) overflows in the strip integrand next to the largest
+        # double; only the failure is reported, with no numpy warning ahead of it
+        argv = [command, f"--x-min={x}", f"--x-max={x}", "--steps", "1", "--rho", "1"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 2
+        assert caught == []
+        assert capsys.readouterr() == ("", f"numerical failure: {err}\n")
+
     def test_division_by_zero_prints_one_line(self, capsys):
         argv = ["vartheta-table", "--x-min=-1000", "--x-max=-1000", "--steps", "1", "--rho", "1"]
         with warnings.catch_warnings(record=True) as caught:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from casimir_rect import roots
 from casimir_rect.roots import (
     DEGENERATE_WINDOW,
     eval_char_poly,
@@ -228,8 +229,9 @@ def test_largest_finite_square(mu, x):
     assert math.isfinite(record.phi_sq) and math.isfinite(record.gamma)
 
 
-# x = 0 and -1 and the window edges take find_zero's special forms; -300,
-# 1e3 and 1e5 leave the vector iteration by its collapsed-bracket branch
+# x = 0 and -1 and the window edges take find_zero's special forms; at -300
+# and 1e3 some zeros leave the vector iteration by its collapsed-bracket
+# branch, and at 1e5 every zero goes to find_zero without entering it
 BATCH_XS = [0.0, -0.0, 1e-9, -1e-9, -1.0, math.nextafter(-1.0, 0.0),
             math.nextafter(-1.0, -2.0), -1.0 + DEGENERATE_WINDOW, -1.0 - DEGENERATE_WINDOW,
             math.nextafter(-1.0 + DEGENERATE_WINDOW, 0.0),
@@ -242,6 +244,24 @@ def test_zeros_batch_is_find_zero_bit_for_bit():
     for x, row in zip(BATCH_XS, rows):
         assert repr(row) == repr([find_zero(mu, x) for mu in range(1, 41)]), x
     assert [repr(zeros_batch([x], 40)[0]) for x in BATCH_XS] == list(map(repr, rows))
+
+
+@pytest.mark.parametrize("x, iterated", [(1e5, 0), (15.0, 40)])
+def test_zeros_batch_skips_the_iteration_where_the_slope_is_too_steep(monkeypatch, x, iterated):
+    # at x = 1e5 one ulp of F moves the dispersion function by ~1e-11, so its
+    # residual test holds only by chance: every zero goes to find_zero without
+    # entering the vector iteration, while at x = 15 all 40 enter it
+    seen = []
+    char_and_deriv = roots._char_and_deriv
+
+    def counted(f, x, *funcs):
+        if isinstance(f, np.ndarray):
+            seen.append(f.size)
+        return char_and_deriv(f, x, *funcs)
+
+    monkeypatch.setattr(roots, "_char_and_deriv", counted)
+    zeros_batch([x], 40)
+    assert max(seen) == iterated
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.4e154, -1.4e154])

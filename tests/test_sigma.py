@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from casimir_rect import quad, sigma
+from casimir_rect import quad, roots, sigma
 from casimir_rect.sigma import (
     Psi,
     amplitude,
@@ -255,6 +255,43 @@ class TestStencil:
         monkeypatch.setattr(sigma, "_step", lambda x: 80.0)
         with pytest.raises(OverflowError) as info:
             sigma.psi_with_x_dPsi_dx(-360.0, 1.0, 8)
+        assert str(info.value) == str(alone.value)
+
+    # 13 u in four chunks: the first holds -0.0 and 0.0 (one node each) and
+    # x = -1, the second a u in the near-degenerate window and +-1e-9
+    CHUNKED = (2.5, -0.0, 0.0, -1.0, -1.0 + 1e-3, 1e-9, -1e-9, -300.0, 13.5, 0.91, -20.0,
+               5e-5, -0.5)
+
+    @pytest.mark.parametrize("N", [3, 8])
+    def test_chunked_stencils_equal_one_u_at_a_time(self, N):
+        assert len(self.CHUNKED) > 2 * sigma._STENCIL_CHUNK
+        assert 0.0 < abs(1.0 + self.CHUNKED[4]) < roots.DEGENERATE_WINDOW
+
+        def reprs(stencil):
+            return [(list(map(repr, amps)), list(map(repr, gammas))) for amps, gammas in stencil]
+
+        sigma._stencil_terms.cache_clear()
+        chunked = sigma._stencil_terms(self.CHUNKED, N)
+        assert [len(stencil) for stencil in chunked] == [
+            1 if u == 0.0 else 5 for u in self.CHUNKED]
+        for u, stencil in zip(self.CHUNKED, chunked):
+            sigma._stencil_terms.cache_clear()
+            assert reprs(stencil) == reprs(sigma._stencil_terms((u,), N)[0]), u
+
+    def test_readers_equal_the_scalar_pairs(self):
+        readers = sigma.psi_with_x_dPsi_dx_readers(self.CHUNKED, 8)
+        for u, at in zip(self.CHUNKED, readers):
+            for rho in (1.0, 1.6):
+                assert repr(at(rho)) == repr(sigma.psi_with_x_dPsi_dx(u, rho, 8)), (u, rho)
+
+    def test_chunk_raises_as_the_first_failing_u(self):
+        # -360 fails after its weight integrals (math.exp overflows), -400
+        # inside them; in one chunk the batch meets -400 first, but the u
+        # before it fails first alone
+        with pytest.raises(OverflowError) as alone:
+            psi_strip(-360.0, 1.0, 8)
+        with pytest.raises(OverflowError) as info:
+            sigma._stencil_terms((2.0, -360.0, -400.0), 8)
         assert str(info.value) == str(alone.value)
 
     @pytest.mark.parametrize("rho, N", [(0.4, 8), (math.nan, 8), (1.0, 0)])
