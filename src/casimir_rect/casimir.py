@@ -420,10 +420,15 @@ def find_rho0() -> float:
 def lattice_to_scaling(z: float, L: int, M: int) -> ScalingPoint:
     """Scaling point of a lattice instance with coupling parameter z.
 
-    x = 2M(1 - z/z_c) with z_c = sqrt(2) - 1, and rho = L/M.
+    x = 2M(1 - z/z_c) with z_c = sqrt(2) - 1, and rho = L/M.  ValueError for
+    z outside (0, 1), for extents that are not positive integers, and where
+    M or L/M exceeds the largest double.
     """
     if not 0.0 < z < 1.0:
         raise ValueError("coupling parameter must satisfy 0 < z < 1")
     if not (isinstance(L, Integral) and isinstance(M, Integral) and L >= 1 and M >= 1):
         raise ValueError("lattice extents must be positive integers")
-    return ScalingPoint(x=2.0 * M * (1.0 - z / Z_CRITICAL), rho=L / M)
+    try:
+        return ScalingPoint(x=2.0 * M * (1.0 - z / Z_CRITICAL), rho=L / M)
+    except OverflowError:  # int -> float conversion of M or L/M
+        raise ValueError("lattice extents must keep M and L/M within the doubles") from None

@@ -62,24 +62,17 @@ def _cmd_theta_table(p: dict) -> FunctionTable:
     xs = _x_grid(p)
     columns = [None if x == 0.0 else casimir.theta_column(x, p["rho"])
                for x in xs]
-    table = FunctionTable(["x", "rho", "theta_total", "note"])
-    for i, rho in enumerate(p["rho"]):
-        for x, column in zip(xs, columns):
-            if column is None:
-                table.add_row(x, rho, None, "divergent")
-            else:
-                table.add_row(x, rho, column[i], "")
-    return table
+    rows = ((x, rho, None, "divergent") if column is None else (x, rho, column[i], "")
+            for i, rho in enumerate(p["rho"]) for x, column in zip(xs, columns))
+    return FunctionTable(["x", "rho", "theta_total", "note"], rows)
 
 
 def _cmd_vartheta_table(p: dict) -> FunctionTable:
     xs = _x_grid(p)
     columns = casimir.vartheta_grid(xs, p["rho"])
-    table = FunctionTable(["x", "rho", "vartheta"])
-    for i, rho in enumerate(p["rho"]):
-        for x, column in zip(xs, columns):
-            table.add_row(x, rho, column[i])
-    return table
+    rows = ((x, rho, column[i])
+            for i, rho in enumerate(p["rho"]) for x, column in zip(xs, columns))
+    return FunctionTable(["x", "rho", "vartheta"], rows)
 
 
 def _cmd_critical(p: dict) -> FunctionTable:
@@ -236,9 +229,9 @@ def main(argv=None) -> int:
                 "command": ns.command, "params": params}
         if ns.output:
             with open(ns.output, "w", newline="\n") as fh:
-                emit_table(table, ns.format, fh, meta)
+                emit_table(table.columns, table.rows, ns.format, fh, meta)
         else:
-            emit_table(table, ns.format, sys.stdout, meta)
+            emit_table(table.columns, table.rows, ns.format, sys.stdout, meta)
         return 0
     except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -1,17 +1,20 @@
 """CLI tests: formats, round-trip precision, determinism, exit codes."""
 
+import contextlib
 import json
 import math
 import runpy
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
 
-from casimir_rect import casimir, cli, strip, weights
+from casimir_rect import casimir, cli, strip, tables, weights
 from casimir_rect.quad import QuadratureError
-from casimir_rect.tables import FunctionTable, render_csv, render_json, render_value
+from casimir_rect.tables import (CHUNK_ROWS, FunctionTable, emit_table, render_csv, render_json,
+                                 render_value)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 REFERENCE = BENCH / "reference"
@@ -299,6 +302,124 @@ class TestDeterminismAndFormats:
         text = path.read_text()
         assert text.startswith("mu,phi,phi_sq,gamma\n")
         assert "\r" not in text  # LF endings
+
+
+class RecordingSink:
+    """A text sink that keeps every write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+class CountingSink:
+    """A text sink that keeps only the number of lines written."""
+
+    lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        return len(text)
+
+
+def grid_argv(command, x_range, rhos):
+    x_min, x_max, steps = x_range
+    argv = [command, f"--x-min={x_min!r}", f"--x-max={x_max!r}", "--steps", str(steps)]
+    for rho in rhos:
+        argv += ["--rho", repr(rho)]
+    return argv
+
+
+def synthetic_grid(steps, count):
+    """steps columns of count 17-digit values, as casimir.vartheta_grid returns."""
+    return [[math.sin(1.0 + i + 1e-3 * j) for j in range(count)] for i in range(steps)]
+
+
+class TestStreamedOutput:
+    """The table commands write their rows in blocks, with the same bytes."""
+
+    ROWS = [[1, "a", None, 1e-300], [-2.5, "", 1.2e300, 0.1]]
+
+    def test_output_stage_memory_does_not_grow_with_rows(self, monkeypatch):
+        # 12 x by 2000 rho: 24,000 rows, 1.3 MB of CSV.  The output stage's
+        # tracemalloc peak above the finished grid measured 62 KB, one block
+        # of rows; it was 7.4 MB when the rows and the whole text were built
+        # before the first write
+        rhos = [1.0 + 0.005 * j for j in range(2000)]
+        grid = synthetic_grid(12, len(rhos))
+        start = {}
+
+        def vartheta_grid(xs, rhos):
+            start["current"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            return grid
+
+        monkeypatch.setattr(casimir, "vartheta_grid", vartheta_grid)
+        sink = CountingSink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = cli.main(grid_argv("vartheta-table", (-3.0, 4.0, 12), rhos))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.lines == 24_001
+        assert peak - start["current"] < 200_000
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_writes_are_blocks_of_rows(self, format):
+        rows = self.ROWS * 12_000
+        columns, meta = ["a", "b", "c", "d"], {"tool": "t", "params": {"rho": [1.0, 2.5]}}
+        sink = RecordingSink()
+        emit_table(columns, (row for row in rows), format, sink, meta)
+        if format == "csv":
+            expected = "\n".join([",".join(columns)] + [",".join(render_value(v) for v in row)
+                                                        for row in rows]) + "\n"
+            rendered = render_csv(FunctionTable(columns, rows))
+        else:
+            expected = json.dumps({"columns": columns, "rows": rows, "meta": meta},
+                                  indent=2) + "\n"
+            rendered = render_json(FunctionTable(columns, rows), meta)
+        assert "".join(sink.writes) == expected
+        assert rendered == expected
+        # a block can hold the tail of the row before it; JSON's blocks also
+        # close the columns' list, the rows' list and the meta's list
+        assert max(w.count("]" if format == "json" else "\n") for w in sink.writes) \
+            <= CHUNK_ROWS + 2
+        assert len(sink.writes) <= len(rows) // CHUNK_ROWS + 2
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        grid_argv("vartheta-table", (-3.0, 4.0, 3), [1.0 + 0.01 * j for j in range(200)]),
+        grid_argv("theta-table", (-1.0, 1.0, 3), [0.6, 1.0, 2.0]),
+    ], ids=["vartheta-table", "theta-table"])
+    def test_stdout_equals_output_file(self, capsys, monkeypatch, tmp_path, argv, format):
+        # 600 force rows cross the block boundaries; the potential has x = 0 rows
+        if argv[0] == "vartheta-table":
+            grid = synthetic_grid(3, len(argv[6::2]))
+            monkeypatch.setattr(casimir, "vartheta_grid", lambda xs, rhos: grid)
+        argv = argv + ["--format", format]
+        code, out = run_cli(capsys, argv)
+        assert code == 0
+        if argv[0] == "theta-table":
+            assert out.count("divergent") == 3
+        path = tmp_path / f"table.{format}"
+        assert run_cli(capsys, argv + ["--output", str(path)]) == (0, "")
+        assert path.read_bytes() == out.encode()
+
+    def test_grid_failing_at_its_last_x_writes_nothing(self, capsys, monkeypatch):
+        # every point is computed before the first write, even with one row a
+        # block: x = -400 comes last in each rho's block of rows
+        monkeypatch.setattr(tables, "CHUNK_ROWS", 1)
+        argv = grid_argv("vartheta-table", (1.0, -400.0, 3), [1.0, 2.0, 3.0])
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: non-finite integrand value")
 
 
 class TestExitCodes:

@@ -37,12 +37,15 @@ NAN, INF = math.nan, math.inf
     (lambda: effspin.magnetization(effspin.build_model(1.0, 4), NAN), ValueError),
     (lambda: casimir.ScalingPoint(NAN, 1.0), ValueError),
     (lambda: casimir.ScalingPoint(-INF, 1.0), ValueError),
+    (lambda: casimir.lattice_to_scaling(0.4, 10**400, 3), ValueError),
+    (lambda: casimir.lattice_to_scaling(0.4, 3, 10**400), ValueError),
 ], ids=["eval_char_poly-nan", "eval_char_poly-x-inf", "zero_series-nan", "zero_series-inf",
         "E2-nan", "E2-inf", "pochhammer-nan", "eta-nan", "eta-inf", "beta-nan", "beta-inf",
         "dilog-nan", "divisor_sigma-2.5", "counting_integrand-nan", "corner-nan",
         "corner-inf", "surface-nan", "surface-inf", "enumerate_partition-nan",
         "enumerate_partition-0", "matched_series-nan", "matched_series-inf",
-        "magnetization-negative", "magnetization-nan", "ScalingPoint-nan", "ScalingPoint-inf"])
+        "magnetization-negative", "magnetization-nan", "ScalingPoint-nan", "ScalingPoint-inf",
+        "lattice_to_scaling-L-1e400", "lattice_to_scaling-M-1e400"])
 def test_rejected(call, error):
     with pytest.raises(error):
         call()

@@ -65,6 +65,32 @@ class TestBeta:
         with pytest.raises(ValueError):
             euler_beta(1.0, -2.0)
 
+    @pytest.mark.parametrize("b", [0.5, 1.5, 1.0, 2.0, 1e-8])
+    @pytest.mark.parametrize("a", [16.75, 17.0, 50.0, 500.0, 1e6, 1e10, 1e15, 1e16, 1e100, 1e200])
+    def test_one_large_argument_against_mpmath(self, a, b):
+        # the lgamma difference cancels here: 1.2e-13 relative at B(500, 1/2),
+        # and B(1e16, 1/2) was 1.0
+        with mp.workdps(360):
+            ref = float(mp.beta(a, b))
+        assert euler_beta(a, b) == pytest.approx(ref, rel=1e-15)
+        assert euler_beta(b, a) == euler_beta(a, b)
+
+    def test_below_the_doubles(self):
+        # B(1e300, 3/2) = 1e-450
+        assert euler_beta(1e300, 1.5) == 0.0
+
+    @pytest.mark.parametrize("mu", range(1, 34))
+    def test_lgamma_form_up_to_16_5(self, mu):
+        # the closed-form weights at x = 0 read B(mu/2, 1/2); modes <= 33 keep their bits
+        a = mu / 2.0
+        assert euler_beta(a, 0.5) == math.exp(math.lgamma(a) + math.lgamma(0.5)
+                                              - math.lgamma(a + 0.5))
+
+    @pytest.mark.parametrize("a, b", [(1e-320, 1.0), (40.0, 1e-320)])
+    def test_overflow_is_named(self, a, b):
+        with pytest.raises(OverflowError, match=r"^B\(.*\) overflows the doubles$"):
+            euler_beta(a, b)
+
 
 class TestDivisorSigma:
     def test_values(self):

@@ -4,6 +4,7 @@ import math
 import sys
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -73,6 +74,15 @@ class TestClosedForms:
     ])
     def test_exact_values(self, mu, expected):
         assert weight_v_closed_x0(mu).v == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("mu", [100, 1000, 10000])
+    def test_high_modes_against_mpmath(self, mu):
+        # B(mu/2, 1/2) from lgamma cancelled to 1.3e-11 relative at mu = 10000
+        zero = roots.zero_cached(mu, 0.0)
+        with mp.workdps(60):
+            ratio = mp.beta(mp.mpf(mu) / 2, 0.5) / (mp.sqrt(2) * mp.pi)
+            ref = float(4 * mp.mpf(zero.gamma) ** (1 + zero.sigma) * ratio ** (2 * zero.sigma))
+        assert weight_v_closed_x0(mu).v == pytest.approx(ref, rel=1e-15)
 
     def test_contour_matches_closed_form(self):
         for mu in range(1, 13):
