@@ -8,19 +8,24 @@ precision and is byte-identical for identical configurations.
 
 Exit codes: 0 success, 1 invalid arguments (including NaN or infinite
 numbers), 2 numerical non-convergence or arithmetic failure.
+
+`run` is the process entry (`casimir-rect` and `python -m casimir_rect.cli`);
+`main` runs one command line in process and leaves the caller's GC alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
+from typing import NoReturn
 
 from . import __version__, casimir, effspin, roots, sigma, specialfn, strip
 from . import thermo_constants, weights
 from .tables import FunctionTable, emit_table
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 
 def _x_grid(params: dict) -> list[float]:
@@ -241,5 +246,15 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def run() -> NoReturn:
+    """Process entry: freeze the heap the imports built, then exit with main's code.
+
+    The module objects live until exit anyway; frozen, they are skipped by
+    the collections during the table and by the full ones at interpreter exit.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

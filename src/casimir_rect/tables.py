@@ -10,11 +10,12 @@ generator over values it has already computed: a CSV table is never held as
 one string, and its output stage holds one block, whatever the row count.
 JSON rows become one list first (the json module cannot encode a generator),
 so a JSON table holds its values, but not the document as one string.
+The json module is imported by the JSON branch only, so a CSV table never
+loads it.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from io import StringIO
@@ -81,6 +82,8 @@ def emit_table(columns, rows, format: str, sink, meta: dict | None = None) -> No
     not start at a row).
     """
     if format == "json":
+        import json
+
         payload = {"columns": columns, "rows": list(rows), "meta": meta or {}}
         # the pieces json.dumps joins; with indent set a row of scalars is the
         # separator ahead of it, one piece per cell and two that close it

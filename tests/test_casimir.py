@@ -386,15 +386,19 @@ class TestVarthetaTotal:
 
     @pytest.mark.xfail(strict=True, raises=(OverflowError, QuadratureError, ZeroDivisionError),
                        reason=(
-        "the weights are carried in the linear domain: at x = -360 the prefactor's "
-        "exp overflows, at -379 gamma_1^2 is subnormal and the weights raise before "
-        "any quadrature, at -400 it underflows to 0 and the weight integrand is "
-        "non-finite, at -1000 a division by zero; log-domain weights would make all "
-        "four finite"))
+        "the force's weights are carried in the linear domain: at x = -360 the "
+        "prefactor's exp overflows, at -379 gamma_1^2 is subnormal and the weights "
+        "raise before any quadrature, at -400 it underflows to 0 and the weight "
+        "integrand is non-finite, at -1000 a division by zero; log-domain weights "
+        "would make all four finite"))
     def test_finite_at_large_negative_x(self):
         for x in (-360.0, -379.0, -400.0, -1000.0):
             assert math.isfinite(vartheta_total(x, 1.0))
-            assert math.isfinite(theta_total(x, 1.0))
+
+    def test_potential_finite_at_large_negative_x(self):
+        # the ordered-phase potential theta_oo(x) - log 2 at rho = 1, from no weight
+        for x in (-360.0, -379.0, -400.0, -1000.0):
+            assert theta_total(x, 1.0) == strip.theta_oo(x) - math.log(2.0)
 
     @pytest.mark.parametrize("x, error, message", [
         (-650.0, OverflowError, "math range error"),

@@ -1,9 +1,13 @@
 """CLI tests: formats, round-trip precision, determinism, exit codes."""
 
 import contextlib
+import gc
 import json
 import math
+import os
 import runpy
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -16,7 +20,8 @@ from casimir_rect.quad import QuadratureError
 from casimir_rect.tables import (CHUNK_ROWS, FunctionTable, emit_table, render_csv, render_json,
                                  render_value)
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 REFERENCE = BENCH / "reference"
 # the benchmark workloads' default-seed command lines, built by the benchmark's
 # own definitions so that they cannot drift from what bench/reference/ records
@@ -640,3 +645,77 @@ class TestExitCodes:
         assert cli.main(argv) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert float(row[2]) == pytest.approx(1.0 / 16.0, abs=1e-12)
+
+
+MODULE_ENTRY = ["-m", "casimir_rect.cli"]
+
+
+def script_call():
+    """The console script wrapper's statement: call pyproject's target, exit with its result."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        module, func = tomllib.load(fh)["project"]["scripts"]["casimir-rect"].split(":")
+    return f"from {module} import {func}; sys.exit({func}())"
+
+
+def run_python(args):
+    """A fresh interpreter on args, importing this casimir_rect; stdout and stderr as bytes."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+class TestProcessEntry:
+    """The process entry freezes the import-time heap; cli.main changes no GC state."""
+
+    SMALL = ["zeros", "--x", "1", "--count", "2"]
+
+    @pytest.mark.parametrize("fmt, loaded", [("csv", False), ("json", True)])
+    def test_json_is_imported_for_json_tables_only(self, fmt, loaded):
+        argv = ["vartheta-table", "--x-min", "1", "--x-max", "1", "--steps", "1", "--rho", "1",
+                "--format", fmt, "--output", os.devnull]
+        code = ("import sys\nfrom casimir_rect import cli\n"
+                f"print(cli.main({argv!r}), 'json' in sys.modules)")
+        proc = run_python(["-c", code])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"0 {loaded}\n".encode(), b"")
+
+    def test_main_does_not_freeze(self, capsys):
+        before = gc.get_freeze_count()
+        assert cli.main(self.SMALL) == 0
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    def test_entry_freezes_the_import_heap(self, entry):
+        if entry == "module":  # as python -m runs it
+            start = "import runpy; runpy.run_module('casimir_rect.cli', run_name='__main__')"
+        else:
+            start = script_call()
+        code = ("import gc, sys\n"
+                f"sys.argv[1:] = {self.SMALL!r}\n"
+                f"try:\n    {start}\n"
+                "except SystemExit as exc:\n"
+                "    print(exc.code, gc.get_freeze_count() > 0, file=sys.stderr)\n")
+        proc = run_python(["-c", code])
+        assert proc.stdout.startswith(b"mu,phi,phi_sq,gamma\n")
+        assert (proc.returncode, proc.stderr) == (0, b"0 True\n")
+
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_ARGV))
+    def test_workload_through_module_entry(self, name):
+        proc = run_python(MODULE_ENTRY + WORKLOAD_ARGV[name])
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == (REFERENCE / f"{name}.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["zeros", "--x", "nan"], 1),
+        (["vartheta-table", "--x-min", "1", "--x-max", "1", "--steps", "1", "--rho", "1e-155"], 2),
+    ], ids=["nan", "rho_1e-155"])
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    def test_exit_codes_through_process_entries(self, capsys, entry, argv, expected):
+        assert cli.main(argv) == expected
+        in_process = capsys.readouterr()
+        entry_args = MODULE_ENTRY if entry == "module" else ["-c", "import sys; " + script_call()]
+        proc = run_python(entry_args + argv)
+        assert proc.returncode == expected
+        assert (proc.stdout.decode(), proc.stderr.decode()) == in_process

@@ -75,6 +75,17 @@ class TestBeta:
         assert euler_beta(a, b) == pytest.approx(ref, rel=1e-15)
         assert euler_beta(b, a) == euler_beta(a, b)
 
+    @pytest.mark.parametrize("b", [2.5, 3.0, 7.5, 10.0, 16.5, 50.0, 100.0])
+    @pytest.mark.parametrize("a", [17.0, 1000.0, 1e6, 1e10, 1e16, 1e100])
+    def test_both_above_two_one_large_against_mpmath(self, a, b):
+        # the lgamma difference cancelled here too: B(1e10, 2.5) was 2.4e-5 off,
+        # and B(1e16, 10) came out 1.06e-139 for 3.6e-155; where B is far
+        # below the doubles (B(1e16, 50) = 6e-738) the result is 0.0
+        with mp.workdps(400):
+            ref = float(mp.beta(a, b))
+        assert euler_beta(a, b) == pytest.approx(ref, rel=2e-13, abs=0.0)
+        assert euler_beta(b, a) == euler_beta(a, b)
+
     def test_below_the_doubles(self):
         # B(1e300, 3/2) = 1e-450
         assert euler_beta(1e300, 1.5) == 0.0
