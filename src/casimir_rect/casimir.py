@@ -37,8 +37,8 @@ the potential needs no zero or weight: theta_sc is -log 2 and the series
 term lies below half an ulp.  vartheta_grid(xs, rhos) evaluates a force
 table: theta_oo(x) once per x for rho >= 1, and the points below rho = 1 by
 their distinct u = x rho, whose strip integrals run as one lockstep
-quadrature and whose stencil entries serve every rho.  vartheta_column and
-vartheta_total are its one-x and one-point cases, with the same bits.
+quadrature and whose stencil entries serve every rho.  vartheta_total is
+its one-point case, with the same bits.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ __all__ = [
     "theta_total",
     "theta_column",
     "vartheta_total",
-    "vartheta_column",
     "vartheta_grid",
     "casimir_amplitude",
     "find_rho0",
@@ -334,13 +333,7 @@ def vartheta_total(x: float, rho: float, N: int = DEFAULT_ORDER) -> float:
     with u = x rho.  Both branches agree identically at rho = 1.  Like
     theta_total, from rho ~ 2e-155 down it raises OverflowError.
     """
-    return vartheta_column(x, (rho,), N)[0]
-
-
-def vartheta_column(x: float, rhos: Sequence[float],
-                    N: int = DEFAULT_ORDER) -> list[float]:
-    """vartheta_total(x, rho) for each rho: vartheta_grid at one x."""
-    return vartheta_grid([x], rhos, N)[0]
+    return vartheta_grid([x], [rho], N)[0][0]
 
 
 def vartheta_grid(xs: Sequence[float], rhos: Sequence[float],

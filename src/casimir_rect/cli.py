@@ -3,11 +3,13 @@
 Subcommands cover the package's main artifacts: zero tables, weight tables,
 the two partition-function routes, potential and force grids, critical
 closed forms, the named constants, the force sign-change ratio, and the
-effective-spin cross-check.  Output is CSV or JSON with full round-trip
-precision and is byte-identical for identical configurations.
+effective-spin cross-check.  Each builder computes its table and returns
+(columns, rows); main writes them with tables.emit_table, as CSV or JSON with
+full round-trip precision, byte-identical for identical configurations.
 
 Exit codes: 0 success, 1 invalid arguments (including NaN or infinite
-numbers), 2 numerical non-convergence or arithmetic failure.
+numbers) or an output error (an unwritable --output path, a closed pipe),
+2 numerical non-convergence or arithmetic failure.
 
 `run` is the process entry (`casimir-rect` and `python -m casimir_rect.cli`);
 `main` runs one command line in process and leaves the caller's GC alone.
@@ -23,102 +25,95 @@ from typing import NoReturn
 
 from . import __version__, casimir, effspin, roots, sigma, specialfn, strip
 from . import thermo_constants, weights
-from .tables import FunctionTable, emit_table
+from .tables import emit_table
 
 __all__ = ["main", "run"]
+
+# the largest sigma --order: time and memory grow about 4x per 8 orders, while
+# the truncation bound e^(-2 pi rho N) at sigma.MIN_RHO = 0.5 is 4e-17 at N = 12
+_MAX_ORDER = 24
 
 
 def _x_grid(params: dict) -> list[float]:
     lo, hi, steps = params["x_min"], params["x_max"], params["steps"]
-    if steps == 1:
-        return [lo]
-    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    return [lo] if steps == 1 else [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
-def _cmd_zeros(p: dict) -> FunctionTable:
-    table = FunctionTable(["mu", "phi", "phi_sq", "gamma"])
+def _cmd_zeros(p: dict) -> tuple:
+    rows = []
     for rec in roots.find_zeros(p["count"], p["x"]):
-        if rec.phi_sq < 0.0:
-            phi_repr = format(math.sqrt(-rec.phi_sq), ".17g") + "i"
-        else:
-            phi_repr = format(math.sqrt(rec.phi_sq), ".17g")
-        table.add_row(rec.mu, phi_repr, rec.phi_sq, rec.gamma)
-    return table
+        imaginary = rec.phi_sq < 0.0
+        phi = format(math.sqrt(-rec.phi_sq if imaginary else rec.phi_sq), ".17g")
+        rows.append((rec.mu, phi + "i" if imaginary else phi, rec.phi_sq, rec.gamma))
+    return ["mu", "phi", "phi_sq", "gamma"], rows
 
 
-def _cmd_weights(p: dict) -> FunctionTable:
-    table = FunctionTable(["mu", "v", "method"])
-    for rec in weights.weight(range(1, p["count"] + 1), p["x"]):
-        table.add_row(rec.mu, rec.v, rec.method)
-    return table
+def _cmd_weights(p: dict) -> tuple:
+    records = weights.weight(range(1, p["count"] + 1), p["x"])
+    return ["mu", "v", "method"], [(rec.mu, rec.v, rec.method) for rec in records]
 
 
-def _cmd_sigma(p: dict) -> FunctionTable:
-    x, rho = p["x"], p["rho"]
-    table = FunctionTable(["x", "rho", "sigma_series", "sigma_det", "Psi", "psi"])
-    series = sigma.sigma_series(x, rho, p["order"]).value
-    det = sigma.sigma_det(x, rho, p["modes"]).value
-    table.add_row(x, rho, series, det,
-                  sigma.Psi(x, rho, p["order"]), sigma.psi_strip(x, rho, p["order"]))
-    return table
+def _cmd_sigma(p: dict) -> tuple:
+    x, rho, order = p["x"], p["rho"], p["order"]
+    if order > _MAX_ORDER:
+        raise ValueError(f"sigma --order is at most {_MAX_ORDER}, got {order}")
+    row = (x, rho, sigma.sigma_series(x, rho, order).value,
+           sigma.sigma_det(x, rho, p["modes"]).value,
+           sigma.Psi(x, rho, order), sigma.psi_strip(x, rho, order))
+    return ["x", "rho", "sigma_series", "sigma_det", "Psi", "psi"], [row]
 
 
-def _cmd_theta_table(p: dict) -> FunctionTable:
+def _cmd_theta_table(p: dict) -> tuple:
     xs = _x_grid(p)
-    columns = [None if x == 0.0 else casimir.theta_column(x, p["rho"])
-               for x in xs]
+    columns = [None if x == 0.0 else casimir.theta_column(x, p["rho"]) for x in xs]
     rows = ((x, rho, None, "divergent") if column is None else (x, rho, column[i], "")
             for i, rho in enumerate(p["rho"]) for x, column in zip(xs, columns))
-    return FunctionTable(["x", "rho", "theta_total", "note"], rows)
+    return ["x", "rho", "theta_total", "note"], rows
 
 
-def _cmd_vartheta_table(p: dict) -> FunctionTable:
+def _cmd_vartheta_table(p: dict) -> tuple:
     xs = _x_grid(p)
     columns = casimir.vartheta_grid(xs, p["rho"])
     rows = ((x, rho, column[i])
             for i, rho in enumerate(p["rho"]) for x, column in zip(xs, columns))
-    return FunctionTable(["x", "rho", "vartheta"], rows)
+    return ["x", "rho", "vartheta"], rows
 
 
-def _cmd_critical(p: dict) -> FunctionTable:
-    table = FunctionTable(["rho", "sigma0", "Delta0", "vartheta0", "psi0"])
+def _cmd_critical(p: dict) -> tuple:
+    rows = []
     for rho in p["rho"]:
         try:
             sigma0 = math.exp(-0.25 * specialfn.log_q_pochhammer(rho))
         except OverflowError:  # exp(pi/(48 rho)) from rho ~ 9.2e-5 down
             raise OverflowError(f"sigma0 at rho = {rho} overflows the doubles") from None
-        table.add_row(rho, sigma0, casimir.casimir_amplitude(rho),
-                      casimir.vartheta_total(0.0, rho),
-                      math.pi / 48.0 * (specialfn.eisenstein_E2(rho) - 1.0))
-    return table
+        rows.append((rho, sigma0, casimir.casimir_amplitude(rho),
+                     casimir.vartheta_total(0.0, rho),
+                     math.pi / 48.0 * (specialfn.eisenstein_E2(rho) - 1.0)))
+    return ["rho", "sigma0", "Delta0", "vartheta0", "psi0"], rows
 
 
-def _cmd_constants(p: dict) -> FunctionTable:
-    table = FunctionTable(["name", "value"])
-    table.add_row("z_critical", casimir.Z_CRITICAL)
-    table.add_row("catalan", specialfn.catalan_constant())
-    table.add_row("theta_oo_0", strip.theta_oo(0.0))
-    table.add_row("psi_0_1", sigma.psi_strip(0.0, 1.0, 10))
-    table.add_row("vartheta_0_1", casimir.vartheta_total(0.0, 1.0, 10))
-    table.add_row("rho_0", casimir.find_rho0())
-    table.add_row("v1_x_neg1", weights.weight_v(1, -1.0).v)
-    table.add_row("surface_critical", thermo_constants.surface_critical_value())
-    table.add_row("corner_constant",
-                  thermo_constants.corner_free_energy(1e-3).terms["constant"])
-    return table
+def _cmd_constants(p: dict) -> tuple:
+    return ["name", "value"], [
+        ("z_critical", casimir.Z_CRITICAL),
+        ("catalan", specialfn.catalan_constant()),
+        ("theta_oo_0", strip.theta_oo(0.0)),
+        ("psi_0_1", sigma.psi_strip(0.0, 1.0, 10)),
+        ("vartheta_0_1", casimir.vartheta_total(0.0, 1.0, 10)),
+        ("rho_0", casimir.find_rho0()),
+        ("v1_x_neg1", weights.weight_v(1, -1.0).v),
+        ("surface_critical", thermo_constants.surface_critical_value()),
+        ("corner_constant", thermo_constants.corner_free_energy(1e-3).terms["constant"]),
+    ]
 
 
-def _cmd_effspin_check(p: dict) -> FunctionTable:
+def _cmd_effspin_check(p: dict) -> tuple:
     x, rho, n = p["x"], p["rho"], p["n"]
     model = effspin.build_model(x, n)
     z_eff = effspin.enumerate_partition(model, rho)
     matched = effspin.matched_series(x, rho, n)
-    mag = effspin.magnetization(model, rho)
-    psi_val = sigma.psi_strip(x, rho, max(1, (2 * n - 1) // 4))
-    table = FunctionTable(["n_spins", "z_eff", "sigma_matched", "z_diff",
-                           "magnetization", "psi"])
-    table.add_row(n, z_eff, matched, abs(z_eff - matched), mag, psi_val)
-    return table
+    row = (n, z_eff, matched, abs(z_eff - matched), effspin.magnetization(model, rho),
+           sigma.psi_strip(x, rho, max(1, (2 * n - 1) // 4)))
+    return ["n_spins", "z_eff", "sigma_matched", "z_diff", "magnetization", "psi"], [row]
 
 
 _BUILDERS = {
@@ -228,19 +223,29 @@ def main(argv=None) -> int:
     try:
         if ns.command == "rho0":
             sys.stdout.write(f"{casimir.find_rho0():.12f}\n")
-            return 0
-        table = _BUILDERS[ns.command](params)
-        meta = {"tool": "casimir-rect", "version": __version__,
-                "command": ns.command, "params": params}
-        if ns.output:
-            with open(ns.output, "w", newline="\n") as fh:
-                emit_table(table.columns, table.rows, ns.format, fh, meta)
         else:
-            emit_table(table.columns, table.rows, ns.format, sys.stdout, meta)
+            columns, rows = _BUILDERS[ns.command](params)
+            meta = {"tool": "casimir-rect", "version": __version__,
+                    "command": ns.command, "params": params}
+            sink = open(ns.output, "w", newline="\n") if ns.output else sys.stdout
+            try:
+                emit_table(columns, rows, ns.format, sink, meta)
+            finally:
+                if ns.output:
+                    sink.close()
+        sys.stdout.flush()  # so that a closed pipe fails here, not at interpreter exit
         return 0
     except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed the pipe: no message; stdout keeps the unwritten
+        # text, so it goes to devnull, where the flush at exit cannot fail
+        if not getattr(ns, "output", None):  # rho0 has no --output
+            import os
+
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

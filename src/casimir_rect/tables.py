@@ -1,48 +1,26 @@
-"""Rectangular result tables with deterministic, streamed CSV and JSON output.
+"""Deterministic, streamed CSV and JSON output of tables as columns and rows.
 
-Numbers are rendered with 17 significant digits so that parsing the output
-recovers every value bit-exactly; line endings are LF; JSON key order is
-fixed.  Identical tables therefore serialize to identical bytes.
+A table is a list of column names and an iterable of rows of cells (floats,
+ints, strings, or None).  Numbers are rendered with 17 significant digits,
+so parsing the output recovers every value bit-exactly; line endings are LF
+and JSON key order is fixed, so identical tables give identical bytes.
 
-`emit_table` takes the columns and any iterable of rows and writes the text
-to its sink in blocks of at most CHUNK_ROWS rows, so a caller can hand it a
-generator over values it has already computed: a CSV table is never held as
-one string, and its output stage holds one block, whatever the row count.
-JSON rows become one list first (the json module cannot encode a generator),
-so a JSON table holds its values, but not the document as one string.
-The json module is imported by the JSON branch only, so a CSV table never
-loads it.
+`emit_table` writes to its sink in blocks of at most CHUNK_ROWS rows, so a
+caller can hand it a generator over values it has already computed: a CSV
+table is never held as one string, and its output stage holds one block,
+whatever the row count.  JSON rows become one list first (the json module
+cannot encode a generator), but the document is never one string.  The
+json module is imported by the JSON branch only, so a CSV table never loads it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass, field
-from io import StringIO
 from itertools import chain, islice
 
-__all__ = ["FunctionTable", "render_value", "render_csv", "render_json", "emit_table",
-           "CHUNK_ROWS"]
+__all__ = ["render_value", "emit_table", "CHUNK_ROWS"]
 
 # rows per sink write: with an unbuffered sink every write is a system call
 CHUNK_ROWS = 256
-
-
-@dataclass
-class FunctionTable:
-    """Named columns plus rows of cells (floats, ints, strings, or None).
-
-    rows may be any iterable of rows for a table that is only emitted, such
-    as a generator over computed values; add_row needs the list.
-    """
-
-    columns: list[str]
-    rows: Iterable = field(default_factory=list)
-
-    def add_row(self, *cells) -> None:
-        if len(cells) != len(self.columns):
-            raise ValueError("row length does not match column count")
-        self.rows.append(list(cells))
 
 
 def render_value(v) -> str:
@@ -54,18 +32,6 @@ def render_value(v) -> str:
     return str(v)
 
 
-def render_csv(table: FunctionTable) -> str:
-    out = StringIO()
-    emit_table(table.columns, table.rows, "csv", out)
-    return out.getvalue()
-
-
-def render_json(table: FunctionTable, meta: dict) -> str:
-    out = StringIO()
-    emit_table(table.columns, table.rows, "json", out, meta)
-    return out.getvalue()
-
-
 def _write_blocks(sink, pieces, size: int) -> None:
     """Write the strings of pieces to sink, joined in blocks of size pieces."""
     pieces = iter(pieces)
@@ -73,7 +39,7 @@ def _write_blocks(sink, pieces, size: int) -> None:
         sink.write("".join(block))
 
 
-def emit_table(columns, rows, format: str, sink, meta: dict | None = None) -> None:
+def emit_table(columns, rows, format: str, sink, meta: dict) -> None:
     """Write the table of columns and an iterable of rows to a file-like sink.
 
     CSV is a header line and one line per row; JSON is
@@ -84,7 +50,7 @@ def emit_table(columns, rows, format: str, sink, meta: dict | None = None) -> No
     if format == "json":
         import json
 
-        payload = {"columns": columns, "rows": list(rows), "meta": meta or {}}
+        payload = {"columns": columns, "rows": list(rows), "meta": meta}
         # the pieces json.dumps joins; with indent set a row of scalars is the
         # separator ahead of it, one piece per cell and two that close it
         pieces = json.JSONEncoder(indent=2).iterencode(payload)

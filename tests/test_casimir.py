@@ -443,7 +443,7 @@ class TestVarthetaGrid:
                     expected.append(rest / (rho * rho))
             assert list(map(repr, row)) == list(map(repr, expected)), x
             assert row == [vartheta_total(x, rho) for rho in self.RHOS]
-            assert row == casimir.vartheta_column(x, self.RHOS)
+            assert row == casimir.vartheta_grid([x], self.RHOS)[0]
 
     def test_more_distinct_u_than_one_block(self):
         # 132 distinct u = x rho: the exchanged points run as two blocks

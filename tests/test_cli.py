@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import io
 import json
 import math
 import os
@@ -17,8 +18,7 @@ import pytest
 
 from casimir_rect import casimir, cli, strip, tables, weights
 from casimir_rect.quad import QuadratureError
-from casimir_rect.tables import (CHUNK_ROWS, FunctionTable, emit_table, render_csv, render_json,
-                                 render_value)
+from casimir_rect.tables import CHUNK_ROWS, emit_table, render_value
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -75,30 +75,27 @@ mu,v,method
 }
 
 
+def emitted(columns, rows, format="csv", meta=None):
+    """The text emit_table writes for a table."""
+    out = io.StringIO()
+    emit_table(columns, rows, format, out, meta)
+    return out.getvalue()
+
+
 class TestTables:
     def test_empty_table_renders_header_only(self):
-        t = FunctionTable(["a", "b"])
-        assert render_csv(t) == "a,b\n"
+        assert emitted(["a", "b"], []) == "a,b\n"
 
     def test_one_by_one(self):
-        t = FunctionTable(["v"])
-        t.add_row(1.5)
-        assert render_csv(t) == "v\n1.5\n"
+        assert emitted(["v"], [(1.5,)]) == "v\n1.5\n"
 
     def test_round_trip_rendering(self):
         values = [math.pi, 1.0 / 3.0, 6.39303337215, -1e-300, 2.0**-52, 0.1]
         for v in values:
             assert float(render_value(v)) == v
 
-    def test_row_length_guard(self):
-        t = FunctionTable(["a", "b"])
-        with pytest.raises(ValueError):
-            t.add_row(1.0)
-
     def test_json_structure(self):
-        t = FunctionTable(["a"])
-        t.add_row(2.0)
-        payload = json.loads(render_json(t, {"k": 1}))
+        payload = json.loads(emitted(["a"], [(2.0,)], "json", {"k": 1}))
         assert payload["columns"] == ["a"]
         assert payload["rows"] == [[2.0]]
         assert payload["meta"] == {"k": 1}
@@ -300,6 +297,13 @@ class TestDeterminismAndFormats:
     def test_command_matches_pinned_output(self, capsys, command):
         assert run_cli(capsys, command.split()) == (0, COMMAND_PINS[command])
 
+    @pytest.mark.parametrize("command", sorted(set(COMMAND_PINS) - {"rho0"}))
+    def test_command_pin_through_output_file(self, capsys, tmp_path, command):
+        # rho0 prints one line and takes no --output
+        path = tmp_path / "table.csv"
+        assert run_cli(capsys, command.split() + ["--output", str(path)]) == (0, "")
+        assert path.read_bytes() == COMMAND_PINS[command].encode()
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
         code, out = run_cli(capsys, ["zeros", "--x", "1", "--output", str(path)])
@@ -328,6 +332,9 @@ class CountingSink:
     def write(self, text):
         self.lines += text.count("\n")
         return len(text)
+
+    def flush(self):
+        pass
 
 
 def grid_argv(command, x_range, rhos):
@@ -384,13 +391,11 @@ class TestStreamedOutput:
         if format == "csv":
             expected = "\n".join([",".join(columns)] + [",".join(render_value(v) for v in row)
                                                         for row in rows]) + "\n"
-            rendered = render_csv(FunctionTable(columns, rows))
         else:
             expected = json.dumps({"columns": columns, "rows": rows, "meta": meta},
                                   indent=2) + "\n"
-            rendered = render_json(FunctionTable(columns, rows), meta)
         assert "".join(sink.writes) == expected
-        assert rendered == expected
+        assert emitted(columns, rows, format, meta) == expected
         # a block can hold the tail of the row before it; JSON's blocks also
         # close the columns' list, the rows' list and the meta's list
         assert max(w.count("]" if format == "json" else "\n") for w in sink.writes) \
@@ -482,6 +487,7 @@ class TestExitCodes:
         (["weights", "--x", "1", "--count", "-3"], 1),
         (["theta-table", "--x-min", "0", "--x-max", "0", "--steps", "1", "--rho", "-1"], 1),
         (["sigma", "--x", "1", "--rho", "1", "--order", "0"], 1),
+        (["sigma", "--x", "1", "--rho", "1", "--order", "25"], 1),
         # the grid and critical commands take no --order: an unrecognized argument
         (["theta-table", "--x-min", "0", "--x-max", "0", "--steps", "1", "--rho", "1",
           "--order", "0"], 1),
@@ -491,6 +497,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err
+
+    def test_sigma_order_above_the_maximum_is_named(self, capsys, monkeypatch):
+        def unreached(*args):
+            raise AssertionError("no series is evaluated")
+
+        monkeypatch.setattr(cli.sigma, "sigma_series", unreached)
+        assert cli.main(["sigma", "--x", "1", "--rho", "1", "--order", "1000"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: sigma --order is at most 24, got 1000\n")
 
     @pytest.mark.parametrize("argv", [
         ["theta-table", "--x-min", "1e-101", "--x-max", "1e-101", "--steps", "1",
@@ -658,16 +673,22 @@ def script_call():
     return f"from {module} import {func}; sys.exit({func}())"
 
 
+def python_env():
+    """The environment of a fresh interpreter that imports this casimir_rect."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def run_python(args):
     """A fresh interpreter on args, importing this casimir_rect; stdout and stderr as bytes."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], capture_output=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          env=python_env())
 
 
 class TestProcessEntry:
-    """The process entry freezes the import-time heap; cli.main changes no GC state."""
+    """The process entry freezes the import-time heap and ends quietly on a closed pipe;
+    cli.main changes no GC state."""
 
     SMALL = ["zeros", "--x", "1", "--count", "2"]
 
@@ -700,6 +721,41 @@ class TestProcessEntry:
         proc = run_python(["-c", code])
         assert proc.stdout.startswith(b"mu,phi,phi_sq,gamma\n")
         assert (proc.returncode, proc.stderr) == (0, b"0 True\n")
+
+    @staticmethod
+    def entry_env(buffered):
+        env = python_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        return env if buffered else dict(env, PYTHONUNBUFFERED="1")
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_exits_quietly(self, buffered):
+        # 6000 rows, about 270 KB: more than a pipe holds, so the writes meet
+        # the closed pipe before the table ends
+        argv = grid_argv("vartheta-table", (-3.0, 4.0, 12), [1.0 + 0.01 * j for j in range(500)])
+        proc = subprocess.Popen([sys.executable, *MODULE_ENTRY, *argv], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=self.entry_env(buffered))
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()  # a no-op once it has exited
+        assert (first, err, proc.returncode) == (b"x,rho,vartheta\n", b"", 1)
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["constants", "rho0"])
+    def test_pipe_closed_before_the_first_write(self, buffered, command):
+        # a buffered small table meets the closed pipe only when it is flushed
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, *MODULE_ENTRY, command], stdout=write_end,
+                                  stderr=subprocess.PIPE, timeout=120,
+                                  env=self.entry_env(buffered))
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
     @pytest.mark.parametrize("name", sorted(WORKLOAD_ARGV))
     def test_workload_through_module_entry(self, name):
