@@ -10,7 +10,7 @@ gamma = sqrt(x^2 + F^2), the scaled transfer-matrix gap of its mode.
 
 import math
 
-from casimir_rect import find_zero, find_zeros, zero_series_approx
+from casimir_rect import find_zero, find_zeros
 
 print("Zero table (first four zeroes; 'i' marks the imaginary first zero)")
 print(f"{'x':>4} | {'F_1':>14} {'F_2':>12} {'F_3':>12} {'F_4':>12}")
@@ -36,9 +36,12 @@ for x in (-5.0, -10.0, -15.0):
           f"{2 * abs(x) * math.exp(-abs(x)):.6e})")
 
 print()
-print("Large-mu asymptotic series vs the root finder (x = -2):")
+print("Large-mu expansion F^2 = F0^2 + 2x - x^2(2x + 3)/(3 F0^2), F0 = (mu - 1/2) pi,")
+print("vs the root finder (x = -2):")
+x = -2.0
 for mu in (5, 10, 20):
-    series = zero_series_approx(mu, -2.0, 4)
-    exact = find_zero(mu, -2.0).phi_sq
+    f0_sq = ((mu - 0.5) * math.pi) ** 2
+    series = f0_sq + 2.0 * x - x * x * (2.0 * x + 3.0) / (3.0 * f0_sq)
+    exact = find_zero(mu, x).phi_sq
     print(f"  mu = {mu:2d}: F^2 series = {series:.12f}, exact = {exact:.12f}, "
           f"diff = {series - exact:.2e}")

@@ -35,10 +35,8 @@ from .quad import (
 from .roots import (
     RootFindError,
     ZeroRecord,
-    eval_char_poly,
     find_zero,
     find_zeros,
-    zero_series_approx,
 )
 from .sigma import (
     Psi,
@@ -70,7 +68,6 @@ from .thermo_constants import (
 )
 from .weights import (
     WeightRecord,
-    counting_integrand,
     weight,
     weight_v,
     weight_v_closed_x0,

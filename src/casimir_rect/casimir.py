@@ -85,12 +85,7 @@ _X_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class ScalingPoint:
-    """Temperature scaling variable and aspect ratio of one system.
-
-    The derived combinations x_volume = x sqrt(rho) and x_perp = x rho are
-    the scaling variables tied to the geometric-mean length and to the
-    perpendicular length.
-    """
+    """Temperature scaling variable and aspect ratio of one system."""
 
     x: float
     rho: float
@@ -100,14 +95,6 @@ class ScalingPoint:
             raise ValueError(f"scaling variable must be finite, got {self.x}")
         if not (self.rho > 0.0 and math.isfinite(self.rho)):
             raise ValueError("aspect ratio must be positive and finite")
-
-    @property
-    def x_volume(self) -> float:
-        return self.x * math.sqrt(self.rho)
-
-    @property
-    def x_perp(self) -> float:
-        return self.x * self.rho
 
 
 def _require_finite(*values: float) -> None:
@@ -250,8 +237,9 @@ def x_dtheta_sc(x):
                      - x dPsi/dx(x,1);
     unlike theta_sc itself this stays finite at x = 0, where it equals
     -1/8 (the corner log amplitude).  Like theta_sc, at DEFAULT_ORDER; the
-    last two terms come from sigma.psi_with_x_dPsi_dx.  x is a float, or a
-    sequence giving a list, whose strip integrals run as one lockstep each.
+    last two terms come from sigma.psi_with_x_dPsi_dx_readers.  x is a
+    float, or a sequence giving a list, whose strip integrals run as one
+    lockstep each.
     """
     xs = [x] if isinstance(x, Real) else list(x)
     _require_finite(*xs)

@@ -32,6 +32,10 @@ __all__ = ["main", "run"]
 # the largest sigma --order: time and memory grow about 4x per 8 orders, while
 # the truncation bound e^(-2 pi rho N) at sigma.MIN_RHO = 0.5 is 4e-17 at N = 12
 _MAX_ORDER = 24
+# the largest sigma --modes: sigma_det builds modes x modes matrices, while the
+# truncation bound e^(-2 pi rho modes) at sigma.MIN_RHO = 0.5 is below the
+# smallest double from about 237 modes on
+_MAX_MODES = 256
 
 
 def _x_grid(params: dict) -> list[float]:
@@ -54,11 +58,13 @@ def _cmd_weights(p: dict) -> tuple:
 
 
 def _cmd_sigma(p: dict) -> tuple:
-    x, rho, order = p["x"], p["rho"], p["order"]
+    x, rho, order, modes = p["x"], p["rho"], p["order"], p["modes"]
     if order > _MAX_ORDER:
         raise ValueError(f"sigma --order is at most {_MAX_ORDER}, got {order}")
+    if modes > _MAX_MODES:
+        raise ValueError(f"sigma --modes is at most {_MAX_MODES}, got {modes}")
     row = (x, rho, sigma.sigma_series(x, rho, order).value,
-           sigma.sigma_det(x, rho, p["modes"]).value,
+           sigma.sigma_det(x, rho, modes).value,
            sigma.Psi(x, rho, order), sigma.psi_strip(x, rho, order))
     return ["x", "rho", "sigma_series", "sigma_det", "Psi", "psi"], [row]
 

@@ -26,13 +26,11 @@ import numpy as np
 __all__ = [
     "ZeroRecord",
     "RootFindError",
-    "eval_char_poly",
     "find_zero",
     "find_zeros",
     "zeros_batch",
     "near_degenerate",
     "solve_bracket",
-    "zero_series_approx",
 ]
 
 
@@ -79,26 +77,6 @@ class ZeroRecord:
         if self.phi_sq < 0:
             raise ValueError("zero is imaginary; use phi_sq directly")
         return math.sqrt(self.phi_sq)
-
-
-def eval_char_poly(phi_sq: float, x: float) -> float:
-    """Evaluate the dispersion function at signed squared argument phi_sq.
-
-    Returns cos(F) + (x/F) sin(F) with F = sqrt(phi_sq) for phi_sq > 0,
-    the analytic continuation cosh(y) + (x/y) sinh(y) with y = sqrt(-phi_sq)
-    for phi_sq < 0, and the removable limit 1 + x at phi_sq = 0.
-    """
-    if not (math.isfinite(phi_sq) and math.isfinite(x)):
-        raise ValueError(f"phi_sq and x must be finite, got {phi_sq}, {x}")
-    if phi_sq > 0.0:
-        return _char_and_deriv(math.sqrt(phi_sq), x)[0]
-    if phi_sq < 0.0:
-        y = math.sqrt(-phi_sq)
-        if y > 350.0:
-            # cosh overflows; only the dominant e^y/2 factor matters.
-            return math.inf if (1.0 + x / y) > 0 else -math.inf
-        return math.cosh(y) + x * math.sinh(y) / y
-    return 1.0 + x
 
 
 def _char_and_deriv(f, x, sin=math.sin, cos=math.cos):
@@ -294,63 +272,3 @@ def zeros_batch(xs, count: int) -> list[list[ZeroRecord]]:
              else find_zero(m, xi) for m, (ok, p, g) in zip(range(1, count + 1), fields)]
             for xi in xs]
 
-
-# -- asymptotic series ------------------------------------------------------
-#
-# Truncated power series in u = 1/F0 with float coefficients; index k holds
-# the coefficient of u^k.  Enough machinery for the arctan recursion below.
-
-
-def _ser_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    return np.convolve(a, b)[:n]
-
-
-def _ser_div(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    q = np.zeros(n)
-    for k in range(n):
-        acc = a[k] if k < len(a) else 0.0
-        acc -= float(np.dot(q[:k], b[k:0:-1][:k]))
-        q[k] = acc / b[0]
-    return q
-
-
-def _ser_atan(s: np.ndarray, n: int) -> np.ndarray:
-    # arctan(S) = S - S^3/3 + S^5/5 - ... ; S has no constant term.
-    out = np.zeros(n)
-    power = s.copy()
-    k = 0
-    while 2 * k + 1 < n and np.any(power):
-        out += ((-1) ** k / (2 * k + 1)) * power
-        power = _ser_mul(power, _ser_mul(s, s, n), n)
-        k += 1
-    return out
-
-
-def zero_series_approx(mu: int, x: float, order: int) -> float:
-    """Asymptotic approximation of phi_sq around the x = 0 zero (mu-1/2)pi.
-
-    Iterates the correction D <- arctan(x/(F0 + D)) `order` times as a
-    truncated series in 1/F0, which reproduces the expansion
-    F^2 = F0^2 + 2x - x^2(2x+3)/(3 F0^2) + 2x^3(x^2+5x+5)/(5 F0^4) + ...
-    Accuracy improves with mu; for small mu and large |x| the series
-    degrades gracefully.
-    """
-    _check_mode(mu)
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
-    f0 = (mu - 0.5) * math.pi
-    n = 2 * order + 2  # keep terms through u^(2*order+1)
-    xu = np.zeros(n)
-    if n > 1:
-        xu[1] = x
-    one = np.zeros(n)
-    one[0] = 1.0
-    delta = np.zeros(n)
-    for _ in range(order):
-        denom = one + np.concatenate(([0.0], delta[: n - 1]))  # 1 + u*D
-        delta = _ser_atan(_ser_div(xu, denom, n), n)
-    u0 = 1.0 / f0
-    dval = float(np.polyval(delta[::-1], u0))
-    return f0 * f0 + 2.0 * f0 * dval + dval * dval

@@ -15,16 +15,15 @@ Also provided: the potential scaling function Psi = -log(Sigma)/rho and the
 strip force psi = d(log Sigma)/d(rho), the latter with the rho-derivative
 taken analytically on the series; psi_strip_batch gives the unit-aspect
 psi(x, 1) at many x that are used once, past the caches; and
-psi_with_x_dPsi_dx gives psi with x dPsi/dx, a Richardson-refined central
-difference, from the terms at its five nodes, cached so that every rho reads
-them; psi_with_x_dPsi_dx_readers gives it at many x from one cache entry,
-whose stencils are built four x (twenty nodes) to a batch.  All build their
-terms in _terms_batch, which holds the one first-failure rule: where a batch's
-terms fail, it raises what its first failing x raises alone.  The terms at
-one x are held as two flat array('d')s in step, the amplitudes a_s and the
-exponents Gamma_s: a fifth of the memory of a tuple per term, which counts
-in the caches.  The package sums the series to DEFAULT_ORDER, and it holds
-for rho >= MIN_RHO.
+psi_with_x_dPsi_dx_readers gives psi with x dPsi/dx, a Richardson-refined
+central difference, at many x from the terms at five nodes per x, held in
+one cache entry so that every rho reads them and built four x (twenty
+nodes) to a batch.  All build their terms in _terms_batch, which holds the
+one first-failure rule: where a batch's terms fail, it raises what its
+first failing x raises alone.  The terms at one x are held as two flat
+array('d')s in step, the amplitudes a_s and the exponents Gamma_s: a fifth
+of the memory of a tuple per term, which counts in the caches.  The package
+sums the series to DEFAULT_ORDER, and it holds for rho >= MIN_RHO.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ __all__ = [
     "Psi",
     "psi_strip",
     "psi_strip_batch",
-    "psi_with_x_dPsi_dx",
     "psi_with_x_dPsi_dx_readers",
     "critical_series_coefficients",
 ]
@@ -316,7 +314,7 @@ def _stencil_terms(us: tuple[float, ...], N: int) -> tuple[tuple[tuple[array, ar
 
 
 def _psi_pair(stencil, x: float, rho: float) -> tuple[float, float]:
-    """(psi, x dPsi/dx) at rho from the stencil of x; see psi_with_x_dPsi_dx."""
+    """(psi, x dPsi/dx) at rho from the stencil of x; see psi_with_x_dPsi_dx_readers."""
     _require_rho(rho)
     at_x, *others = stencil
     num, den = _sums(at_x, rho)
@@ -331,29 +329,21 @@ def _psi_pair(stencil, x: float, rho: float) -> tuple[float, float]:
 
 
 def psi_with_x_dPsi_dx_readers(xs, N: int) -> list[Callable[[float], tuple[float, float]]]:
-    """For each x of xs, the function rho -> psi_with_x_dPsi_dx(x, rho, N),
-    bit for bit, read from one cached entry of all their stencils."""
+    """For each x of xs, the function rho -> (psi_strip(x, rho, N), x * dPsi/dx(x, rho)).
+
+    The derivative is the Richardson-refined central difference
+    (4 d(h/2) - d(h))/3 with d(s) = (Psi(x + s) - Psi(x - s))/(2s) and
+    h = _step(x), and 0 at x = 0.  The series terms at the stencils' nodes
+    come from one cached entry, _stencil_terms(tuple(xs), N), so every rho
+    reads them without new zeros or weights; where they fail, the first
+    failing node in the stencils' order raises (see _terms_batch), here
+    and not when a function is called.  Each function rejects rho below
+    MIN_RHO, or NaN, with ValueError.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     xs = tuple(xs)
     return [partial(_psi_pair, stencil, x) for x, stencil in zip(xs, _stencil_terms(xs, N))]
-
-
-def psi_with_x_dPsi_dx(x: float, rho: float, N: int) -> tuple[float, float]:
-    """(psi_strip(x, rho, N), x * dPsi/dx(x, rho)) from the cached stencil of x.
-
-    The derivative is the Richardson-refined central difference
-    (4 d(h/2) - d(h))/3 with d(s) = (Psi(x + s) - Psi(x - s))/(2s) and
-    h = _step(x), and 0 at x = 0.  The series terms at the stencil's nodes
-    come from _stencil_terms((x,), N), so every rho reads them without new
-    zeros or weights; where they fail, the first failing node in the
-    stencil's order raises (see _terms_batch).  psi_with_x_dPsi_dx_readers
-    gives the same values for many x from one entry.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    _require_rho(rho)  # before the stencil, whose failure would otherwise come first
-    return _psi_pair(_stencil_terms((x,), N)[0], x, rho)
 
 
 def critical_series_coefficients(N: int) -> list[float]:

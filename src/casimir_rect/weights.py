@@ -53,7 +53,6 @@ from .specialfn import euler_beta
 
 __all__ = [
     "WeightRecord",
-    "counting_integrand",
     "weight_v",
     "weight_v_closed_x0",
     "weight",
@@ -74,16 +73,6 @@ class WeightRecord:
     mu: int
     v: float
     method: str  # contour | closed_form_x0 | special_x_neg1
-
-
-def counting_integrand(t, x: float):
-    """Real-axis counting kernel K(t) for t > |x|, finite x (scalar or ndarray)."""
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(t_arr > abs(x)):
-        raise ValueError("counting_integrand requires t > |x|")
-    return (x + x * x - t_arr * t_arr) / (
-        np.sqrt(t_arr * t_arr - x * x) * (t_arr * np.cosh(t_arr) + x * np.sinh(t_arr))
-    )
 
 
 def _kernel_sub(s: np.ndarray, x) -> np.ndarray:

@@ -488,6 +488,7 @@ class TestExitCodes:
         (["theta-table", "--x-min", "0", "--x-max", "0", "--steps", "1", "--rho", "-1"], 1),
         (["sigma", "--x", "1", "--rho", "1", "--order", "0"], 1),
         (["sigma", "--x", "1", "--rho", "1", "--order", "25"], 1),
+        (["sigma", "--x", "1", "--rho", "1", "--modes", "257"], 1),
         # the grid and critical commands take no --order: an unrecognized argument
         (["theta-table", "--x-min", "0", "--x-max", "0", "--steps", "1", "--rho", "1",
           "--order", "0"], 1),
@@ -506,6 +507,20 @@ class TestExitCodes:
         assert cli.main(["sigma", "--x", "1", "--rho", "1", "--order", "1000"]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: sigma --order is at most 24, got 1000\n")
+
+    def test_sigma_modes_above_the_maximum_is_named(self, capsys, monkeypatch):
+        def unreached(*args):
+            raise AssertionError("no zero or weight is computed")
+
+        monkeypatch.setattr(cli.sigma, "sigma_series", unreached)
+        monkeypatch.setattr(cli.sigma, "sigma_det", unreached)
+        assert cli.main(["sigma", "--x", "1", "--rho", "1", "--modes", "100000"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: sigma --modes is at most 256, got 100000\n")
+        monkeypatch.undo()
+        assert cli.main(["sigma", "--x", "1", "--rho", "1", "--modes", "256"]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("argv", [
         ["theta-table", "--x-min", "1e-101", "--x-max", "1e-101", "--steps", "1",

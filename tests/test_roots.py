@@ -1,4 +1,4 @@
-"""Zero-spectrum tests: dispersion residuals, ordering, series expansion."""
+"""Zero-spectrum tests: dispersion residuals, ordering, batches."""
 
 import math
 
@@ -8,15 +8,29 @@ import pytest
 from casimir_rect import roots
 from casimir_rect.roots import (
     DEGENERATE_WINDOW,
-    eval_char_poly,
     find_zero,
     find_zeros,
     near_degenerate,
-    zero_series_approx,
     zeros_batch,
 )
 
 PI = math.pi
+
+
+def eval_char_poly(phi_sq: float, x: float) -> float:
+    """The dispersion function at signed squared argument phi_sq, the oracle for the zeros.
+
+    Returns cos(F) + (x/F) sin(F) with F = sqrt(phi_sq) for phi_sq > 0,
+    the analytic continuation cosh(y) + (x/y) sinh(y) with y = sqrt(-phi_sq)
+    for phi_sq < 0, and the removable limit 1 + x at phi_sq = 0.
+    """
+    if phi_sq > 0.0:
+        f = math.sqrt(phi_sq)
+        return math.cos(f) + x * math.sin(f) / f
+    if phi_sq < 0.0:
+        y = math.sqrt(-phi_sq)
+        return math.cosh(y) + x * math.sinh(y) / y
+    return 1.0 + x
 
 
 def test_char_poly_trivial_zero():
@@ -178,35 +192,6 @@ def test_zero_at_steep_slope(mu, x):
     assert (mu - 0.5) * PI < f < mu * PI
     slope = -math.sin(f) + x * (f * math.cos(f) - math.sin(f)) / (f * f)
     assert abs(eval_char_poly(f * f, x)) <= 4.0 * abs(slope) * math.ulp(f)
-
-
-def test_series_approx_low_order():
-    # order 2 reproduces F0^2 + 2x - x^2(2x+3)/(3 F0^2); the evaluated form
-    # carries partial higher-order terms, hence the loose comparison
-    got = zero_series_approx(4, 1.0, 2)
-    f0 = 7.0 * PI / 2.0
-    assert got == pytest.approx(f0 * f0 + 2.0 - 5.0 / (3.0 * f0 * f0), abs=5e-4)
-    assert abs(math.sqrt(got) - 11.08553841) < 1e-4
-
-
-@pytest.mark.parametrize("mu", [3, 8, 40])
-@pytest.mark.parametrize("order", [0, 1, 3])
-def test_series_approx_x0_exact(mu, order):
-    assert zero_series_approx(mu, 0.0, order) == ((mu - 0.5) * PI) ** 2
-
-
-def test_series_approx_vs_root_finder():
-    got = zero_series_approx(10, -2.0, 3)
-    ref = find_zero(10, -2.0).phi_sq
-    assert abs(math.sqrt(got) - math.sqrt(ref)) < 1e-8
-
-
-@pytest.mark.parametrize("x", [-4.0, -1.5, 2.5, 4.0])
-@pytest.mark.parametrize("mu", [20, 35])
-def test_series_approx_high_mu(mu, x):
-    got = zero_series_approx(mu, x, 4)
-    ref = find_zero(mu, x).phi_sq
-    assert abs(got - ref) < 1e-10 * max(1.0, abs(ref))
 
 
 def test_input_validation():

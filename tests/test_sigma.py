@@ -243,7 +243,7 @@ class TestStencil:
     @pytest.mark.parametrize("rho", [1.0, 1.6])
     @pytest.mark.parametrize("N", [3, 8, 10])
     def test_equals_per_x_route_bit_for_bit(self, x, rho, N):
-        got = sigma.psi_with_x_dPsi_dx(x, rho, N)
+        got = sigma.psi_with_x_dPsi_dx_readers([x], N)[0](rho)
         assert repr(got) == repr((psi_strip(x, rho, N), _x_dPsi_dx_per_x(x, rho, N)))
 
     def test_raises_as_the_first_failing_node(self, monkeypatch):
@@ -254,7 +254,7 @@ class TestStencil:
             psi_strip(-360.0, 1.0, 8)
         monkeypatch.setattr(sigma, "_step", lambda x: 80.0)
         with pytest.raises(OverflowError) as info:
-            sigma.psi_with_x_dPsi_dx(-360.0, 1.0, 8)
+            sigma.psi_with_x_dPsi_dx_readers([-360.0], 8)
         assert str(info.value) == str(alone.value)
 
     # 13 u in four chunks: the first holds -0.0 and 0.0 (one node each) and
@@ -281,8 +281,9 @@ class TestStencil:
     def test_readers_equal_the_scalar_pairs(self):
         readers = sigma.psi_with_x_dPsi_dx_readers(self.CHUNKED, 8)
         for u, at in zip(self.CHUNKED, readers):
+            [alone] = sigma.psi_with_x_dPsi_dx_readers([u], 8)
             for rho in (1.0, 1.6):
-                assert repr(at(rho)) == repr(sigma.psi_with_x_dPsi_dx(u, rho, 8)), (u, rho)
+                assert repr(at(rho)) == repr(alone(rho)), (u, rho)
 
     def test_chunk_raises_as_the_first_failing_u(self):
         # -360 fails after its weight integrals (math.exp overflows), -400
@@ -297,7 +298,7 @@ class TestStencil:
     @pytest.mark.parametrize("rho, N", [(0.4, 8), (math.nan, 8), (1.0, 0)])
     def test_rejects_what_psi_strip_rejects(self, rho, N):
         with pytest.raises(ValueError):
-            sigma.psi_with_x_dPsi_dx(0.5, rho, N)
+            sigma.psi_with_x_dPsi_dx_readers([0.5], N)[0](rho)
 
 
 class TestTermBuilder:

@@ -10,13 +10,8 @@ import pytest
 
 from casimir_rect import quad, roots, sigma, weights
 from casimir_rect.quad import QuadratureError, QuadratureSpec, integrate_sqrt_singularity
-from casimir_rect.weights import (
-    counting_integrand,
-    weight,
-    weight_v,
-    weight_v_closed_x0,
-)
-from weight_oracles import oracle_product_p, weight_w_generating_check
+from casimir_rect.weights import weight, weight_v, weight_v_closed_x0
+from weight_oracles import counting_integrand, oracle_product_p, weight_w_generating_check
 
 PI = math.pi
 
@@ -25,7 +20,7 @@ def kernel_identity(x: float) -> float:
     """(1/pi) Int_{|x|}^inf K(t) dt, via t = sqrt(x^2+s^2) so dt = (s/t) ds.
 
     Uses the cancellation-free substituted kernel; a separate test pins that
-    kernel pointwise to the public counting_integrand away from the
+    kernel pointwise to the oracle counting_integrand away from the
     endpoint, where the naive form is float-representable.
     """
     from casimir_rect.weights import _kernel_sub

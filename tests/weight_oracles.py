@@ -1,10 +1,12 @@
 """Test-only oracles for the mode weights.
 
+counting_integrand is the counting kernel K(t) in its unsubstituted form,
+against which the library's substituted kernel is pinned;
 weight_w_generating_check compares the closed-form weights at x = 0 with
 the Taylor coefficients of their generating function, and
 oracle_product_p is the brute-force regularized product over the raw
 zeroes that validates parity-balanced weight combinations away from
-x = 0.  Neither is used by the library itself.
+x = 0.  None is used by the library itself.
 """
 
 from __future__ import annotations
@@ -16,6 +18,15 @@ import numpy as np
 from casimir_rect import roots
 from casimir_rect.weights import weight_v_closed_x0
 
+
+def counting_integrand(t, x: float):
+    """Real-axis counting kernel K(t) for t > |x|, finite x (scalar or ndarray)."""
+    t_arr = np.asarray(t, dtype=float)
+    if not np.all(t_arr > abs(x)):
+        raise ValueError("counting_integrand requires t > |x|")
+    return (x + x * x - t_arr * t_arr) / (
+        np.sqrt(t_arr * t_arr - x * x) * (t_arr * np.cosh(t_arr) + x * np.sinh(t_arr))
+    )
 
 def weight_w_generating_check(eta: float, n_terms: int) -> float:
     """Consistency of sqrt-weights at x = 0 with their generating function.
