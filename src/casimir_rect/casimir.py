@@ -45,9 +45,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral, Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,18 +83,27 @@ _I1_PART_SPEC = QuadratureSpec(rel_tol=I_SPEC.rel_tol, abs_tol=0.5 * I_SPEC.abs_
 _X_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class ScalingPoint:
-    """Temperature scaling variable and aspect ratio of one system."""
-
+class _Point(NamedTuple):
     x: float
     rho: float
 
-    def __post_init__(self):
+
+class ScalingPoint(_Point):
+    """Temperature scaling variable and aspect ratio of one system."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not math.isfinite(self.x):
             raise ValueError(f"scaling variable must be finite, got {self.x}")
         if not (self.rho > 0.0 and math.isfinite(self.rho)):
             raise ValueError("aspect ratio must be positive and finite")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
 def _require_finite(*values: float) -> None:

@@ -36,11 +36,24 @@ _MAX_ORDER = 24
 # truncation bound e^(-2 pi rho modes) at sigma.MIN_RHO = 0.5 is below the
 # smallest double from about 237 modes on
 _MAX_MODES = 256
+# the most rows (--steps times the --rho count) of a grid table: the grid and
+# its values are built before the first row is written, about 0.3 KB per x,
+# and a force row takes about 1.3 ms
+_MAX_ROWS = 10**6
 
 
 def _x_grid(params: dict) -> list[float]:
     lo, hi, steps = params["x_min"], params["x_max"], params["steps"]
-    return [lo] if steps == 1 else [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    rows = steps * len(params["rho"])
+    if rows > _MAX_ROWS:
+        raise ValueError(f"--steps times the --rho count is at most {_MAX_ROWS}, got {rows}")
+    if steps == 1:
+        return [lo]
+    width = hi - lo
+    if math.isfinite(width * (steps - 1)):
+        return [lo + width * i / (steps - 1) for i in range(steps)]
+    # hi - lo, or a multiple of it, overflows; a weighted mean of the finite ends cannot
+    return [lo * (1.0 - t) + hi * t for t in (i / (steps - 1) for i in range(steps))]
 
 
 def _cmd_zeros(p: dict) -> tuple:

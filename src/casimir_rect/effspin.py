@@ -15,8 +15,8 @@ term by term; the model's magnetization equals minus the strip force.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ __all__ = ["EffectiveModel", "build_model", "enumerate_partition",
 _MAX_SPINS = 24
 
 
-@dataclass(frozen=True)
-class EffectiveModel:
+class EffectiveModel(NamedTuple):
     """Couplings and moments of the truncated effective model."""
 
     n_spins: int

@@ -49,7 +49,7 @@ raises propagates from the first block that raises it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,16 +117,25 @@ class QuadratureError(RuntimeError):
     """Raised when the adaptive scheme cannot reach the requested tolerance."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances for the adaptive quadrature."""
-
+class _Tolerances(NamedTuple):
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
 
-    def __post_init__(self):
+
+class QuadratureSpec(_Tolerances):
+    """Tolerances for the adaptive quadrature."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
 DEFAULT_SPEC = QuadratureSpec()

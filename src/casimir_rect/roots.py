@@ -17,9 +17,9 @@ vectorized Newton iteration; np.sin and np.cos must round as math's do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,7 @@ def _check_mode(mu) -> None:
         raise ValueError(f"mu must be >= 1 and an integer, got {mu!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class ZeroRecord:
+class ZeroRecord(NamedTuple):
     """One zero of the dispersion function at fixed x.
 
     phi_sq is the signed square of the zero: negative only for mu = 1 and

@@ -31,10 +31,10 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import islice
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,16 +61,14 @@ DEFAULT_ORDER = 8
 MIN_RHO = 0.5
 
 
-@dataclass(frozen=True)
-class SubsetTerm:
+class SubsetTerm(NamedTuple):
     """One term of the balanced-subset series."""
 
     a: float
     gamma_sum: float
 
 
-@dataclass(frozen=True)
-class SigmaResult:
+class SigmaResult(NamedTuple):
     """Value of Sigma with the bound on its truncation error."""
 
     value: float

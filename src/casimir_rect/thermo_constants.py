@@ -15,7 +15,7 @@ evaluated as written, term-labeled, with no resummation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .specialfn import catalan_constant, hurwitz_zeta_sderiv_neg1
 
@@ -30,8 +30,7 @@ __all__ = [
 Z_CRITICAL = math.sqrt(2.0) - 1.0
 
 
-@dataclass(frozen=True)
-class ExpansionResult:
+class ExpansionResult(NamedTuple):
     """Evaluated truncated expansion with its labeled contributions."""
 
     value: float

@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +66,7 @@ __all__ = [
 WEIGHT_SPEC = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-14)
 
 
-@dataclass(frozen=True)
-class WeightRecord:
+class WeightRecord(NamedTuple):
     """Weight value with the route that produced it."""
 
     mu: int

@@ -522,6 +522,48 @@ class TestExitCodes:
         assert cli.main(["sigma", "--x", "1", "--rho", "1", "--modes", "256"]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("command", ["theta-table", "vartheta-table"])
+    def test_grid_rows_above_the_maximum_are_named(self, capsys, monkeypatch, command):
+        def unreached(*args):
+            raise AssertionError("no grid point is evaluated")
+
+        monkeypatch.setattr(cli.casimir, "theta_column", unreached)
+        monkeypatch.setattr(cli.casimir, "vartheta_grid", unreached)
+        argv = [command, "--x-min", "0", "--x-max", "1", "--steps", "500001",
+                "--rho", "1", "--rho", "2"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: --steps times the --rho count is at most 1000000, got 1000002\n")
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "_MAX_ROWS", 6)
+        assert cli.main([command, "--x-min", "1", "--x-max", "2", "--steps", "3",
+                         "--rho", "1", "--rho", "2"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_x_grid_keeps_its_formula_where_the_width_is_finite(self):
+        for lo, hi, steps in ((-3.0, 4.0, 12), (-15.0, 15.0, 13), (0.1, -2.7, 9),
+                              (-1e308, 7e307, 2)):
+            grid = cli._x_grid({"x_min": lo, "x_max": hi, "steps": steps, "rho": [1.0]})
+            assert grid == [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+
+    @pytest.mark.parametrize("lo, hi, steps, expected", [
+        (1e308, -1e308, 3, [1e308, 0.0, -1e308]),
+        # the width is finite, but twice the width is not
+        (-1e308, 0.0, 3, [-1e308, -5e307, 0.0]),
+        (-1.7e308, 1.7e308, 5, [-1.7e308, -8.499999999999999e307, 0.0,
+                                8.499999999999999e307, 1.7e308]),
+    ])
+    def test_x_grid_whose_width_overflows(self, lo, hi, steps, expected):
+        grid = cli._x_grid({"x_min": lo, "x_max": hi, "steps": steps, "rho": [1.0]})
+        assert grid == expected
+
+    def test_overflowing_width_fails_at_the_given_end(self, capsys):
+        argv = ["vartheta-table", "--x-min=1e308", "--x-max=-1e308", "--steps", "3", "--rho", "1"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "numerical failure: zero mu=1 at x=1e+308: x^2 overflows the doubles\n")
+
     @pytest.mark.parametrize("argv", [
         ["theta-table", "--x-min", "1e-101", "--x-max", "1e-101", "--steps", "1",
          "--rho", "1e-200"],
@@ -715,6 +757,12 @@ class TestProcessEntry:
                 f"print(cli.main({argv!r}), 'json' in sys.modules)")
         proc = run_python(["-c", code])
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"0 {loaded}\n".encode(), b"")
+
+    def test_import_loads_no_dataclasses(self):
+        # the record types are NamedTuples, which build no code at import
+        proc = run_python(["-c", "import sys, casimir_rect.cli\n"
+                                 "print('dataclasses' in sys.modules)"])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False\n", b"")
 
     def test_main_does_not_freeze(self, capsys):
         before = gc.get_freeze_count()

@@ -85,8 +85,7 @@ class TestPartitionSum:
         assert enumerate_partition(model, 50.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_spin_cap(self):
-        model = build_model(0.0, 4)
-        object.__setattr__(model, "n_spins", 30)
+        model = build_model(0.0, 4)._replace(n_spins=30)
         with pytest.raises(ValueError):
             enumerate_partition(model, 1.0)
 
