@@ -223,7 +223,7 @@ def theta_sc(x: float) -> float:
     """Surface-corner contribution, a function of x alone, cached per x.
 
     Assembled at unit aspect ratio, the series at DEFAULT_ORDER (bound 1.5e-22):
-    theta_sc(x) = -theta_oo(x) + log Sigma(x, 1) + theta_volume(x, 1).
+    theta_sc(x) = -theta_oo(x) - Psi(x, 1) + theta_volume(x, 1).
     Carries the -log|x|/8 divergence and the -(3/4) log 2 * sign(x) jump;
     tends to 0 for x -> +inf and is the ordered-phase constant -log 2 from
     x = -64 down, where I2 is -log 2 and the other terms lie below half its
@@ -234,8 +234,7 @@ def theta_sc(x: float) -> float:
         raise ValueError("logarithmically divergent at x = 0")
     if x <= _I2_ORDERED_FROM:
         return -math.log(2.0)
-    return (-strip.theta_oo(x) + math.log(sigma.sigma_series(x, 1.0, DEFAULT_ORDER).value)
-            + theta_volume_rho1(x))
+    return -strip.theta_oo(x) - sigma.Psi(x, 1.0, DEFAULT_ORDER) + theta_volume_rho1(x)
 
 
 def x_dtheta_sc(x):
@@ -384,14 +383,13 @@ def vartheta_grid(xs: Sequence[float], rhos: Sequence[float],
 def casimir_amplitude(rho: float) -> float:
     """Finite critical Casimir amplitude, log(eta(i rho))/4.
 
-    The equivalent route rho*theta_oo(0) - log Sigma(0, rho) is evaluated
+    The equivalent route rho*(theta_oo(0) + Psi(0, rho)) is evaluated
     as a consistency check whenever the series is in its validity range, to
     1e-11 plus 1e-14 relative, as the value grows like -pi*rho/48.
     """
     value = 0.25 * log_dedekind_eta(rho)
     if rho >= sigma.MIN_RHO:
-        other = (rho * strip.theta_oo(0.0)
-                 - math.log(sigma.sigma_series(0.0, rho, DEFAULT_ORDER + 2).value))
+        other = rho * (strip.theta_oo(0.0) + sigma.Psi(0.0, rho, DEFAULT_ORDER + 2))
         if abs(value - other) > 1e-11 + 1e-14 * abs(value):
             raise RuntimeError(
                 f"amplitude routes disagree at rho={rho}: {value} vs {other}")

@@ -40,6 +40,10 @@ _MAX_MODES = 256
 # its values are built before the first row is written, about 0.3 KB per x,
 # and a force row takes about 1.3 ms
 _MAX_ROWS = 10**6
+# the largest zeros and weights --count: time and memory grow linearly with it
+# (a million zeros at x = 0.37 take about 40 s and 0.4 GB; 10**4 zeros or
+# weights about a second and at most 51 MB)
+_MAX_COUNT = 10**4
 
 
 def _x_grid(params: dict) -> list[float]:
@@ -56,9 +60,16 @@ def _x_grid(params: dict) -> list[float]:
     return [lo * (1.0 - t) + hi * t for t in (i / (steps - 1) for i in range(steps))]
 
 
+def _count(command: str, p: dict) -> int:
+    count = p["count"]
+    if count > _MAX_COUNT:
+        raise ValueError(f"{command} --count is at most {_MAX_COUNT}, got {count}")
+    return count
+
+
 def _cmd_zeros(p: dict) -> tuple:
     rows = []
-    for rec in roots.find_zeros(p["count"], p["x"]):
+    for rec in roots.find_zeros(_count("zeros", p), p["x"]):
         imaginary = rec.phi_sq < 0.0
         phi = format(math.sqrt(-rec.phi_sq if imaginary else rec.phi_sq), ".17g")
         rows.append((rec.mu, phi + "i" if imaginary else phi, rec.phi_sq, rec.gamma))
@@ -66,7 +77,7 @@ def _cmd_zeros(p: dict) -> tuple:
 
 
 def _cmd_weights(p: dict) -> tuple:
-    records = weights.weight(range(1, p["count"] + 1), p["x"])
+    records = weights.weight(range(1, _count("weights", p) + 1), p["x"])
     return ["mu", "v", "method"], [(rec.mu, rec.v, rec.method) for rec in records]
 
 

@@ -13,7 +13,8 @@ the stated exponential accuracy is one of the package's main cross-checks.
 
 Also provided: the potential scaling function Psi = -log(Sigma)/rho and the
 strip force psi = d(log Sigma)/d(rho), the latter with the rho-derivative
-taken analytically on the series; psi_strip_batch gives the unit-aspect
+taken analytically on the series (log Sigma is taken in _Psi alone, for
+Psi, the stencil's Psi and casimir); psi_strip_batch gives the unit-aspect
 psi(x, 1) at many x that are used once, past the caches; and
 psi_with_x_dPsi_dx_readers gives psi with x dPsi/dx, a Richardson-refined
 central difference, at many x from the terms at five nodes per x, held in
@@ -236,9 +237,14 @@ def sigma_det(x: float, rho: float, modes: int) -> SigmaResult:
     return SigmaResult(value=value, error_bound=math.exp(-2.0 * math.pi * rho * modes))
 
 
+def _Psi(sums: tuple[float, float], rho: float) -> float:
+    """-log(Sigma)/rho from the sums (num, Sigma) of _sums: the one place log Sigma is taken."""
+    return -math.log(sums[1]) / rho
+
+
 def Psi(x: float, rho: float, N: int) -> float:
     """Strip potential scaling function -log(Sigma)/rho from the series."""
-    return -math.log(sigma_series(x, rho, N).value) / rho
+    return _Psi(_series_sums(x, rho, N), rho)
 
 
 def psi_strip(x: float, rho: float, N: int) -> float:
@@ -319,7 +325,7 @@ def _psi_pair(stencil, x: float, rho: float) -> tuple[float, float]:
     psi = num / den
     if not others:  # x = 0
         return psi, 0.0
-    Psi = [-math.log(_sums(terms, rho)[1]) / rho for terms in others]
+    Psi = [_Psi(_sums(terms, rho), rho) for terms in others]
     h = _step(x)
     d_half = (Psi[0] - Psi[1]) / (2.0 * (h / 2.0))
     d_full = (Psi[2] - Psi[3]) / (2.0 * h)

@@ -34,13 +34,6 @@ _PI2_6 = math.pi * math.pi / 6.0
 _DILOG_COEFFS = np.array([1.0 / (k * k) for k in range(64, 0, -1)])
 
 
-def _dilog_series(z: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(z)
-    for c in _DILOG_COEFFS:
-        acc = acc * z + c
-    return acc * z
-
-
 def dilog(z):
     """Real dilogarithm Li2(z) for z <= 1, NaN rejected (scalar or ndarray).
 
@@ -78,7 +71,7 @@ def dilog(z):
         sign[refl] = -sign[refl]
         w[refl] = 1.0 - v  # now in [0, 1/2)
 
-    out += sign * _dilog_series(w)
+    out += sign * (np.polyval(_DILOG_COEFFS, w) * w)
     return float(out[0]) if scalar else out
 
 
@@ -92,11 +85,7 @@ _STIRLING = [_BERNOULLI[2 * k] / (2 * k * (2 * k - 1)) for k in range(7, 0, -1)]
 def _stirling_tail(z: float) -> float:
     """lgamma(z) - (z - 1/2) log z + z - log(2 pi)/2 for z > 16.5; the first
     omitted term is below 2e-20."""
-    w = 1.0 / (z * z)
-    acc = 0.0
-    for c in _STIRLING:
-        acc = acc * w + c
-    return acc / z
+    return float(np.polyval(_STIRLING, 1.0 / (z * z))) / z
 
 
 def euler_beta(a: float, b: float) -> float:

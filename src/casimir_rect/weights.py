@@ -143,13 +143,8 @@ def _contour_weights(xs, zeros) -> list[list[float]]:
 
         def integrand(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
             ratio = (shift[rows] + s * s) / scale[rows]
-            if not plain_log.any():
-                return np.log1p(ratio) * _kernel_sub(s, xa[rows])
-            pl = plain_log[rows]
-            values = np.empty_like(ratio)
-            values[~pl] = np.log1p(ratio[~pl])
-            values[pl] = np.log(ratio[pl])
-            return values * _kernel_sub(s, xa[rows])
+            log_factor = np.where(plain_log[rows], np.log(ratio), np.log1p(ratio))
+            return log_factor * _kernel_sub(s, xa[rows])
 
         # where gamma_1^2 underflows (x <~ -380) or x^2 overflows (x >~ 1e154)
         # the quadrature raises naming the non-finite panel; numpy's warnings

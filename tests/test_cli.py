@@ -489,6 +489,8 @@ class TestExitCodes:
         (["sigma", "--x", "1", "--rho", "1", "--order", "0"], 1),
         (["sigma", "--x", "1", "--rho", "1", "--order", "25"], 1),
         (["sigma", "--x", "1", "--rho", "1", "--modes", "257"], 1),
+        (["zeros", "--x", "1", "--count", "10001"], 1),
+        (["weights", "--x", "1", "--count", "10001"], 1),
         # the grid and critical commands take no --order: an unrecognized argument
         (["theta-table", "--x-min", "0", "--x-max", "0", "--steps", "1", "--rho", "1",
           "--order", "0"], 1),
@@ -521,6 +523,24 @@ class TestExitCodes:
         monkeypatch.undo()
         assert cli.main(["sigma", "--x", "1", "--rho", "1", "--modes", "256"]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["zeros", "weights"])
+    def test_count_above_the_maximum_is_named(self, capsys, monkeypatch, command):
+        def unreached(*args):
+            raise AssertionError("no zero or weight is computed")
+
+        monkeypatch.setattr(cli.roots, "find_zeros", unreached)
+        monkeypatch.setattr(cli.weights, "weight", unreached)
+        assert cli.main([command, "--x", "1", "--count", "100000000"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: {command} --count is at most 10000, got 100000000\n")
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "_MAX_COUNT", 3)
+        assert cli.main([command, "--x", "1", "--count", "3"]) == 0
+        assert capsys.readouterr().err == ""
+        assert cli.main([command, "--x", "1", "--count", "4"]) == 1
+        assert capsys.readouterr().err == f"error: {command} --count is at most 3, got 4\n"
 
     @pytest.mark.parametrize("command", ["theta-table", "vartheta-table"])
     def test_grid_rows_above_the_maximum_are_named(self, capsys, monkeypatch, command):

@@ -295,6 +295,26 @@ class TestStencil:
             sigma._stencil_terms((2.0, -360.0, -400.0), 8)
         assert str(info.value) == str(alone.value)
 
+    @pytest.mark.parametrize("x", [-2.5, 0.91])
+    @pytest.mark.parametrize("rho", [1.0, 1.0 / 0.55])
+    def test_stencil_Psi_is_Psi_bit_for_bit(self, monkeypatch, x, rho):
+        # log Sigma is taken in sigma._Psi alone: at every node of the stencil
+        # its Psi is Psi's own, and the reader differences exactly those values
+        nodes = sigma._stencil_nodes(x)
+        want = [repr(Psi(node, rho, 8)) for node in nodes]
+        [stencil] = sigma._stencil_terms((x,), 8)
+        assert [repr(sigma._Psi(sigma._sums(terms, rho), rho)) for terms in stencil] == want
+        taken, original = [], sigma._Psi
+
+        def recording(sums, rho):
+            value = original(sums, rho)
+            taken.append(repr(value))
+            return value
+
+        monkeypatch.setattr(sigma, "_Psi", recording)
+        sigma.psi_with_x_dPsi_dx_readers([x], 8)[0](rho)
+        assert taken == want[1:]
+
     @pytest.mark.parametrize("rho, N", [(0.4, 8), (math.nan, 8), (1.0, 0)])
     def test_rejects_what_psi_strip_rejects(self, rho, N):
         with pytest.raises(ValueError):
