@@ -25,16 +25,17 @@ at x = 0 (it tends to -1/8, the corner log amplitude).  That expression
 needs psi and x dPsi/dx at u = x rho for aspect ratios 1 and 1/rho;
 sigma's stencil readers give all four from the series terms at the
 derivative nodes of u, cached per block of u and built four u to a batch.
-A rho so small that rho^2 is 0.0 raises OverflowError before anything is
-evaluated.  At the critical point the force changes sign at the aspect
-ratio where the weight-two Eisenstein series vanishes on the imaginary
-axis.
+At the critical point the force changes sign at the aspect ratio where the
+weight-two Eisenstein series vanishes on the imaginary axis.
+
+Each point's region is decided once, by _regime, before any zero or
+weight.  In the ordered phase, from x = -64 down, theta_sc is -log 2 and
+the series term lies below half an ulp, so the potential needs neither.
+The force reads only the rho checks: it is finite at x = 0 and has no floor.
 
 theta_column(x, rhos) evaluates one x across many aspect ratios:
 theta_oo(x) is computed once and only the series term depends on rho;
-theta_total is its one-rho case.  From x = -64 down, in the ordered phase,
-the potential needs no zero or weight: theta_sc is -log 2 and the series
-term lies below half an ulp.  vartheta_grid(xs, rhos) evaluates a force
+theta_total is its one-rho case.  vartheta_grid(xs, rhos) evaluates a force
 table: theta_oo(x) once per x for rho >= 1, and the points below rho = 1 by
 their distinct u = x rho, whose strip integrals run as one lockstep
 quadrature and whose stencil entries serve every rho.  vartheta_total is
@@ -81,6 +82,10 @@ I_SPEC = QuadratureSpec(rel_tol=1e-12, abs_tol=5e-12)
 _I1_PART_SPEC = QuadratureSpec(rel_tol=I_SPEC.rel_tol, abs_tol=0.5 * I_SPEC.abs_tol)
 # the smallest |x| at which I1, and so the potential, is evaluated
 _X_FLOOR = 1e-300
+# psi(xi, 1) decays like e^{0.96 xi} toward xi -> -inf (psi(-60, 1) = -2.4e-23), so
+# from here down I2's tail lies far below half an ulp of log 2 and I2 is the
+# ordered-phase constant alone; its integrand's weights overflow from about -346.3
+_I2_ORDERED_FROM = -64.0
 
 
 class _Point(NamedTuple):
@@ -106,14 +111,36 @@ class ScalingPoint(_Point):
         return cls(*iterable)
 
 
-def _require_finite(*values: float) -> None:
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"arguments must be finite, got {values}")
+def _regime(x: float | None, rho: float) -> str | None:
+    """Region of the point (x, rho), decided before any zero or weight.
 
-
-def _require_positive(rhos: Sequence[float]) -> None:
-    if not all(rho > 0.0 for rho in rhos):
-        raise ValueError("rho must be positive")
+    In this order, with u = x min(rho, 1), the point where I1 is evaluated:
+    - ValueError unless rho > 0 is finite and x is finite;
+    - OverflowError where rho^2 is 0.0: rho^-2 carries any value out of the
+      doubles;
+    - None where x is None: the force is finite at x = 0 and has no floor,
+      so its grid reads only the rho checks above;
+    - ValueError at x = 0, the potential's corner log divergence;
+    - ValueError where |u| < _X_FLOOR, beyond I1's reach in doubles;
+    - "ordered" where u <= _I2_ORDERED_FROM: theta_sc is -log 2 there;
+    - "spectral" otherwise.
+    """
+    if not (rho > 0.0 and math.isfinite(rho)):
+        raise ValueError(f"rho must be positive and finite, got {rho}")
+    if x is not None and not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
+    if rho * rho == 0.0:
+        raise OverflowError(f"rho^-2 times the exchanged value at rho = {rho} "
+                            "overflows the doubles")
+    if x is None:
+        return None
+    if x == 0.0:
+        raise ValueError("divergent at x = 0; see casimir_amplitude")
+    u = x * min(rho, 1.0)
+    if abs(u) < _X_FLOOR:
+        raise ValueError(f"|{'x rho' if rho < 1.0 else 'x'}| < {_X_FLOOR} is beyond double "
+                         f"precision here, got x = {x}, rho = {rho}")
+    return "ordered" if u <= _I2_ORDERED_FROM else "spectral"
 
 
 def integral_I1(x_vol: float) -> float:
@@ -127,13 +154,9 @@ def integral_I1(x_vol: float) -> float:
     integrable squared log for x < 0 and a peak of height ~1/x for
     0 < x < 1; in the variable s = e^{-u} it sits at u ~ -log|x|, so the
     head runs in u to 52 past that point.  That keeps s = e^{-u} a positive
-    double for |x_vol| >= 1e-300; closer to zero I1 is rejected.
+    double for |x_vol| >= 1e-300; closer to zero _regime rejects it.
     """
-    _require_finite(x_vol)
-    if x_vol == 0.0:
-        raise ValueError("logarithmically divergent at x_vol = 0")
-    if abs(x_vol) < _X_FLOOR:
-        raise ValueError(f"|x_vol| < {_X_FLOOR} is beyond double precision here, got {x_vol}")
+    _regime(x_vol, 1.0)
     x = x_vol
 
     def integrand(s: np.ndarray) -> np.ndarray:
@@ -155,10 +178,6 @@ def integral_I1(x_vol: float) -> float:
 
 
 _I2_SPLIT = 4.0
-# psi(xi, 1) decays like e^{0.96 xi} toward xi -> -inf (psi(-60, 1) = -2.4e-23), so
-# from here down I2's tail lies far below half an ulp of log 2 and I2 is the
-# ordered-phase constant alone; its integrand's weights overflow from about -346.3
-_I2_ORDERED_FROM = -64.0
 
 
 def integral_I2(x_vol: float) -> float:
@@ -179,16 +198,14 @@ def integral_I2(x_vol: float) -> float:
     x^-2 overflows near x = 0.  psi(xi, 1) is the series at DEFAULT_ORDER,
     as for theta_sc; its nodes are used once, so each integrand call takes
     psi at all of its nodes from one uncached sigma.psi_strip_batch.
-    From x_vol = -64 down I2 is -log 2 to the last bit, and no integral runs.
+    From x_vol = -64 down, _regime's ordered phase, I2 is -log 2 to the last
+    bit, and no integral runs.
     """
-    _require_finite(x_vol)
-    if x_vol == 0.0:
-        raise ValueError("logarithmically divergent at x_vol = 0")
+    if _regime(x_vol, 1.0) == "ordered":
+        return -math.log(2.0)
     sgn = 1.0 if x_vol > 0.0 else -1.0
     h = abs(x_vol)
     ordered = -math.log(2.0) if x_vol < 0.0 else 0.0
-    if x_vol <= _I2_ORDERED_FROM:
-        return ordered
 
     def psi1(eta: np.ndarray) -> np.ndarray:
         return np.array(sigma.psi_strip_batch((sgn * eta).tolist()))
@@ -227,12 +244,10 @@ def theta_sc(x: float) -> float:
     Carries the -log|x|/8 divergence and the -(3/4) log 2 * sign(x) jump;
     tends to 0 for x -> +inf and is the ordered-phase constant -log 2 from
     x = -64 down, where I2 is -log 2 and the other terms lie below half its
-    ulp; there it is returned at once, without zeros or weights.
+    ulp; there, in _regime's ordered phase, it is returned at once, without
+    zeros or weights.
     """
-    _require_finite(x)
-    if x == 0.0:
-        raise ValueError("logarithmically divergent at x = 0")
-    if x <= _I2_ORDERED_FROM:
+    if _regime(x, 1.0) == "ordered":
         return -math.log(2.0)
     return -strip.theta_oo(x) - sigma.Psi(x, 1.0, DEFAULT_ORDER) + theta_volume_rho1(x)
 
@@ -250,7 +265,6 @@ def x_dtheta_sc(x):
     lockstep each.
     """
     xs = [x] if isinstance(x, Real) else list(x)
-    _require_finite(*xs)
     out = []
     for oo, voo, at in zip(strip.theta_oo(xs), strip.vartheta_oo(xs),
                            sigma.psi_with_x_dPsi_dx_readers(xs, DEFAULT_ORDER)):
@@ -274,47 +288,29 @@ def theta_total(x: float, rho: float) -> float:
 def theta_column(x: float, rhos: Sequence[float]) -> list[float]:
     """theta_total(x, rho) for each rho, with theta_oo(x) evaluated once.
 
-    The strip part is computed only when some rho >= 1 needs it; rho < 1
-    goes through the exchange symmetry at each rho.  From x = -64 down,
-    rho >= 1 gives theta_oo(x) - log(2)/rho: Psi(x, rho), of order
-    exp(-rho |x|), lies below half an ulp of that sum (checked down to
-    x = -356, where the weights still evaluate), so no zero or weight is
-    evaluated there.
+    The strip part is computed first, where some rho >= 1 needs it; then
+    each rho in order has its _regime decided and its value evaluated, so
+    the first point that fails raises.  rho < 1 goes through the exchange
+    symmetry.  In the ordered phase, from x = -64 down, rho >= 1 gives
+    theta_oo(x) - log(2)/rho: Psi(x, rho), of order exp(-rho |x|), lies
+    below half an ulp of that sum (checked down to x = -356, where the
+    weights still evaluate), so no zero or weight is evaluated there.
     """
-    _require_finite(x, *rhos)
-    if x == 0.0:
-        raise ValueError("divergent at x = 0; see casimir_amplitude")
-    _require_positive(rhos)
     oo = strip.theta_oo(x) if any(rho >= 1.0 for rho in rhos) else None
 
     def at(rho: float) -> float:
+        regime = _regime(x, rho)
         if rho < 1.0:
-            return _exchanged(lambda: _theta_exchanged(x, rho), rho)
+            return _exchanged(theta_total(x * rho, 1.0 / rho), rho)
         value = oo + theta_sc(x) / rho
-        return value if x <= _I2_ORDERED_FROM else value + sigma.Psi(x, rho, DEFAULT_ORDER)
+        return value if regime == "ordered" else value + sigma.Psi(x, rho, DEFAULT_ORDER)
 
     return [at(rho) for rho in rhos]
 
 
-def _theta_exchanged(x: float, rho: float) -> float:
-    """theta_total(x rho, 1/rho), refused where |x rho| is below I1's floor."""
-    if abs(x * rho) < _X_FLOOR:
-        raise ValueError(f"|x rho| < {_X_FLOOR} is beyond double precision here, "
-                         f"got x = {x}, rho = {rho}")
-    return theta_total(x * rho, 1.0 / rho)
-
-
-def _exchanged(value, rho: float) -> float:
-    """value() / rho^2, mapped back to rho < 1 from the exchanged direction.
-
-    Where rho^2 underflows to 0 the quotient overflows whatever the value,
-    so that raises before value() is evaluated.
-    """
-    rho_sq = rho * rho
-    what = f"rho^-2 times the exchanged value at rho = {rho}"
-    if not rho_sq:
-        _finite(math.inf, what)
-    return _finite(value() / rho_sq, what)
+def _exchanged(value: float, rho: float) -> float:
+    """value / rho^2, mapped back to rho < 1 from the exchanged direction."""
+    return _finite(value / (rho * rho), f"rho^-2 times the exchanged value at rho = {rho}")
 
 
 def vartheta_total(x: float, rho: float, N: int = DEFAULT_ORDER) -> float:
@@ -341,19 +337,17 @@ def vartheta_grid(xs: Sequence[float], rhos: Sequence[float],
     distinct u = x rho in blocks of 128: a block's strip integrals run as
     one lockstep per function, its stencils are one entry of sigma's
     stencil cache, built four u to a series batch, and each u's stencil
-    serves all its points.  A rho whose square is 0.0 raises before
-    anything is evaluated.  Where the grid fails, each point is evaluated
-    alone, x outer, theta_oo(x) first where some rho >= 1, then rho in
-    order; the first that fails raises.
+    serves all its points.  Each rho's _regime checks run before anything
+    is evaluated.  Where the grid fails, each point is evaluated alone,
+    x outer, theta_oo(x) first where some rho >= 1, then rho in order; the
+    first that fails raises.
     """
-    _require_finite(*xs, *rhos)
-    _require_positive(rhos)
     high = any(rho >= 1.0 for rho in rhos)
     try:
         at_u: dict[float, list[tuple[int, int]]] = {}
         for j, rho in enumerate(rhos):
+            _regime(None, rho)
             if rho < 1.0:
-                _exchanged(lambda: 0.0, rho)  # raises where rho^2 is 0.0
                 for i, x in enumerate(xs):
                     at_u.setdefault(x * rho, []).append((i, j))
         oos = [strip.theta_oo(x) if high else None for x in xs]
@@ -368,7 +362,7 @@ def vartheta_grid(xs: Sequence[float], rhos: Sequence[float],
                 for i, j in at_u[u]:
                     rho = rhos[j]
                     psi, x_dPsi_dx = at(1.0 / rho)
-                    out[i][j] = _exchanged(lambda: voo - rho * xd - psi - x_dPsi_dx, rho)
+                    out[i][j] = _exchanged(voo - rho * xd - psi - x_dPsi_dx, rho)
         return out
     except (ArithmeticError, RuntimeError, ValueError):
         if len(xs) * len(rhos) > 1:

@@ -617,6 +617,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"numerical failure: {err}\n"
 
+    @pytest.mark.parametrize("rhos, err", [
+        (["2", "1e-200"], "zero mu=1 at x=1e+300: x^2 overflows the doubles"),
+        (["1e-200", "2"],
+         "rho^-2 times the exchanged value at rho = 1e-200 overflows the doubles"),
+    ], ids=["zeros_first", "rho_squared_first"])
+    def test_potential_column_raises_the_first_failing_point(self, capsys, rhos, err):
+        # theta_oo(x) first, then each rho in order: its region is decided and
+        # its value evaluated before the next rho is looked at
+        argv = ["theta-table", "--x-min=1e300", "--x-max=1e300", "--steps", "1"]
+        for rho in rhos:
+            argv += ["--rho", rho]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"numerical failure: {err}\n")
+
     @pytest.mark.parametrize("x, rho", [("1.5e-300", "0.5"), ("1e-290", "1e-11"),
                                         ("1e-150", "1e-155")])
     def test_potential_floor_names_the_given_arguments(self, capsys, x, rho):
